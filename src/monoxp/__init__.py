@@ -30,7 +30,6 @@ from .domain import (
     FeatureSpace,
     Point,
     corner_points,
-    make_point,
     point_leq,
     verify_axp,
     verify_cxp,
@@ -43,17 +42,9 @@ from .enumeration import (
     check_duality,
     enumerate_explanations,
 )
-from .explainer import (
-    ExplainerState,
-    NoCxpExists,
-    SeedBreaksInvariant,
-    find_axp,
-    find_cxp,
-    fix_attr,
-    free_attr,
-)
+from .explainer import NoCxpExists, SeedBreaksInvariant, find_axp, find_cxp
 from .satcore import Clause, CnfFormula, solve, to_dimacs
-from .specfile import SpecError, build_oracle, load_oracle
+from .specfile import SpecError, build_oracle
 
 __version__ = "0.1.0"
 
@@ -68,7 +59,6 @@ __all__ = [
     "EnumerationReport",
     "Explanation",
     "ExplanationKind",
-    "ExplainerState",
     "ExternalProcessOracle",
     "FeatureDomain",
     "FeatureSpace",
@@ -89,10 +79,6 @@ __all__ = [
     "enumerate_explanations",
     "find_axp",
     "find_cxp",
-    "fix_attr",
-    "free_attr",
-    "load_oracle",
-    "make_point",
     "point_leq",
     "probe_monotonicity",
     "random_monotone_dnf",

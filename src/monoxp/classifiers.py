@@ -38,8 +38,14 @@ class ClassifierOracle(abc.ABC):
     def classify(self, point: Point) -> str:
         """Label for a point; identical points must yield identical labels."""
 
-    def rank_of(self, point: Point) -> int:
-        return self.classes.rank(self.classify(point))
+    def close(self) -> None:
+        """Release held resources such as a child process; a no-op for in-process models."""
+
+    def __enter__(self) -> "ClassifierOracle":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class GradeClassifier(ClassifierOracle):
@@ -248,12 +254,6 @@ class ExternalProcessOracle(ClassifierOracle):
         except Exception:
             proc.kill()
             proc.wait()
-
-    def __enter__(self) -> "ExternalProcessOracle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class CountingOracle(ClassifierOracle):

@@ -16,16 +16,15 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence, TextIO
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .classifiers import ClassifierOracle, CountingOracle, OracleError, probe_monotonicity
 from .domain import Explanation, Point, verify_axp, verify_cxp
 from .enumeration import InternalConsistencyError, enumerate_explanations
 from .explainer import NoCxpExists, find_axp, find_cxp
 from .satcore import to_dimacs
-from .specfile import SpecError, build_oracle, load_spec
-
-SCHEMA_VERSION = 1
+from .specfile import SCHEMA_VERSION, SpecError, build_oracle, load_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,6 +37,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(minimum, convert):
+    """argparse type: `convert` the text, then reject values below `minimum`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _record(record_type: str, **fields) -> dict:
@@ -73,49 +85,37 @@ def _parse_instance(text: str, oracle: ClassifierOracle) -> Point:
     return point
 
 
+def _parse_ints(text: str, what: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{what} must be comma-separated integers: {text!r}") from None
+
+
 def _parse_features(text: str, oracle: ClassifierOracle) -> frozenset[int]:
     if text.strip() == "":
         return frozenset()
-    try:
-        indices = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"feature list must be comma-separated integers: {text!r}") from None
-    return oracle.space.validate_features(indices)
-
-
-def _parse_order(text: Optional[str], oracle: ClassifierOracle) -> Optional[tuple[int, ...]]:
-    if text is None:
-        return None
-    try:
-        order = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"order must be comma-separated integers: {text!r}") from None
-    if sorted(order) != list(oracle.space.features):
-        raise ValueError(f"order must be a permutation of 1..{oracle.space.arity}")
-    return order
+    return oracle.space.validate_features(_parse_ints(text, "feature list"))
 
 
 def _feature_names(oracle: ClassifierOracle, features) -> list[str]:
     return [oracle.space.name(i) for i in sorted(features)]
 
 
-def _open_output(path: Optional[str]):
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """The --output file, or whatever sys.stdout is on entry, which is left open."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _close_oracle(oracle: ClassifierOracle) -> None:
-    close = getattr(oracle, "close", None)
-    if callable(close):
-        close()
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as stream:
+            yield stream
 
 
 def cmd_explain(args) -> int:
-    oracle = build_oracle(load_spec(args.spec))
-    try:
+    with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
-        order = _parse_order(args.order, oracle)
+        order = None if args.order is None else oracle.space.validate_order(_parse_ints(args.order, "order"))
         counting = CountingOracle(oracle)
         start = time.perf_counter()
         prediction = counting.classify(v)
@@ -124,8 +124,7 @@ def cmd_explain(args) -> int:
         else:
             expl = find_cxp(v, counting, order=order)
         total = time.perf_counter() - start
-        stream, owned = _open_output(args.output)
-        try:
+        with _output(args.output) as stream:
             _emit(
                 stream,
                 _record(
@@ -141,23 +140,16 @@ def cmd_explain(args) -> int:
                     time_classifier=counting.classify_seconds,
                 ),
             )
-        finally:
-            if owned:
-                stream.close()
-        return EXIT_OK
-    finally:
-        _close_oracle(oracle)
+    return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    oracle = build_oracle(load_spec(args.spec))
-    try:
+    with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
-        order = _parse_order(args.order, oracle)
+        order = None if args.order is None else oracle.space.validate_order(_parse_ints(args.order, "order"))
         counting = CountingOracle(oracle)
         prediction = counting.classify(v)
-        stream, owned = _open_output(args.output)
-        try:
+        with _output(args.output) as stream:
             index = 0
 
             def on_explanation(expl: Explanation) -> None:
@@ -199,20 +191,14 @@ def cmd_enumerate(args) -> int:
                     time_classifier=counting.classify_seconds,
                 ),
             )
-        finally:
-            if owned:
-                stream.close()
         if args.dump_cnf and report.formula is not None:
             with open(args.dump_cnf, "w", encoding="utf-8") as handle:
                 handle.write(to_dimacs(report.formula))
-        return EXIT_OK
-    finally:
-        _close_oracle(oracle)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    oracle = build_oracle(load_spec(args.spec))
-    try:
+    with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
         features = _parse_features(args.features, oracle)
         counting = CountingOracle(oracle)
@@ -222,8 +208,7 @@ def cmd_verify(args) -> int:
         holds = check(features, v, counting)
         minimal = holds and all(not check(features - {i}, v, counting) for i in sorted(features))
         total = time.perf_counter() - start
-        stream, owned = _open_output(args.output)
-        try:
+        with _output(args.output) as stream:
             _emit(
                 stream,
                 _record(
@@ -241,23 +226,16 @@ def cmd_verify(args) -> int:
                     time_classifier=counting.classify_seconds,
                 ),
             )
-        finally:
-            if owned:
-                stream.close()
-        return EXIT_OK
-    finally:
-        _close_oracle(oracle)
+    return EXIT_OK
 
 
 def cmd_probe(args) -> int:
-    oracle = build_oracle(load_spec(args.spec))
-    try:
+    with build_oracle(load_spec(args.spec)) as oracle:
         seed = args.seed
         if seed is None:
             seed = int(os.environ.get("MONOXP_SEED", "0"))
         violations = probe_monotonicity(oracle, args.trials, rng_seed=seed)
-        stream, owned = _open_output(args.output)
-        try:
+        with _output(args.output) as stream:
             _emit(
                 stream,
                 _record(
@@ -276,12 +254,7 @@ def cmd_probe(args) -> int:
                     ],
                 ),
             )
-        finally:
-            if owned:
-                stream.close()
-        return EXIT_OK
-    finally:
-        _close_oracle(oracle)
+    return EXIT_OK
 
 
 def _read_instance_rows(path: str) -> list[tuple[int, list]]:
@@ -368,31 +341,31 @@ def aggregate_bench_records(records: Sequence[dict]) -> dict:
 
 def cmd_bench(args) -> int:
     spec = load_spec(args.spec)
-    probe = build_oracle(spec)  # fail fast on a bad description
-    _close_oracle(probe)
+    build_oracle(spec).close()  # fail fast on a bad description
     rows = _read_instance_rows(args.instances)
     local = threading.local()
     built: list[ClassifierOracle] = []
+    workers = args.parallel or 1
+    records: list[dict] = []
+
+    def bench_row(row: tuple[int, list]) -> dict:
+        return _bench_one(spec, local, built, *row)
+
     try:
-        if args.parallel and args.parallel > 1:
-            with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-                records = list(pool.map(lambda row: _bench_one(spec, local, built, *row), rows))
-        else:
-            records = [_bench_one(spec, local, built, line, cells) for line, cells in rows]
+        with _output(args.output) as stream, ThreadPoolExecutor(max_workers=workers) as pool:
+            # a serial run stays on this thread; either way rows come back in order,
+            # so each record goes out once its row and every earlier row are done
+            results = pool.map(bench_row, rows) if workers > 1 else map(bench_row, rows)
+            for record in results:
+                records.append(record)
+                if record["type"] == "row-error":
+                    _emit_error("malformed-row", f"line {record['line']}: {record['message']}")
+                else:
+                    _emit(stream, record)
+            _emit(stream, aggregate_bench_records(records))
     finally:
         for oracle in built:
-            _close_oracle(oracle)
-    stream, owned = _open_output(args.output)
-    try:
-        for record in records:
-            if record["type"] == "row-error":
-                _emit_error("malformed-row", f"line {record['line']}: {record['message']}")
-            else:
-                _emit(stream, record)
-        _emit(stream, aggregate_bench_records(records))
-    finally:
-        if owned:
-            stream.close()
+            oracle.close()
     return EXIT_OK
 
 
@@ -415,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--instance", required=True)
     p.add_argument("--order", default=None)
-    p.add_argument("--limit", type=int, default=None, help="stop after this many explanations")
-    p.add_argument("--budget", type=float, default=None, help="wall-clock budget in seconds")
+    p.add_argument("--limit", type=_at_least(0, int), default=None, help="stop after this many explanations")
+    p.add_argument("--budget", type=_at_least(0, float), default=None, help="wall-clock budget in seconds")
     p.add_argument("--dump-cnf", default=None, help="write the final blocking formula as DIMACS")
     p.set_defaults(func=cmd_enumerate)
 
@@ -436,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="explain a batch of instances and aggregate")
     common(p)
     p.add_argument("--instances", required=True, help="CSV file, one instance per row")
-    p.add_argument("--parallel", type=int, default=None, help="worker count (each gets its own oracle)")
+    p.add_argument("--parallel", type=_at_least(1, int), default=None, help="worker count (each gets its own oracle)")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -113,6 +113,13 @@ class FeatureSpace:
             raise ValueError(f"feature indices out of range 1..{self.arity}: {sorted(bad)}")
         return out
 
+    def validate_order(self, order: Sequence[int]) -> tuple[int, ...]:
+        """A feature scan order, which must be a permutation of 1..N."""
+        out = tuple(order)
+        if sorted(out) != list(self.features):
+            raise ValueError(f"order must be a permutation of 1..{self.arity}")
+        return out
+
 
 @dataclass(frozen=True)
 class Point:
@@ -224,7 +231,3 @@ def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
     fixed = frozenset(oracle.space.features) - freed
     low, up = corner_points(oracle.space, v, fixed)
     return oracle.classify(low) != oracle.classify(up)
-
-
-def make_point(values: Sequence[Number]) -> Point:
-    return Point(tuple(values))

@@ -1,19 +1,21 @@
 """Greedy computation of one abductive or one contrastive explanation.
 
-Both procedures scan the features once, keeping three disjoint sets
-(candidates, dropped, picked) that always partition the feature set, and a
-pair of points v_low <= v_up bracketing the box reasoned about. Each scanned
-feature costs exactly two oracle calls, so a full run costs at most 2N+2
-calls including the two that establish the starting invariant.
+Both procedures are one scan over a box [low, up] in which every feature is
+either pinned to its value in v or free over its whole domain. An AXp scan
+starts from the box pinned to v and tries to free each feature; a CXp scan
+starts from the whole box and tries to pin each feature. A feature whose
+move changes whether the two corners get the same prediction is moved back
+and picked. Each scanned feature costs exactly two oracle calls, so a full
+run costs at most 2N+2 calls including the two that establish the starting
+invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle
-from .domain import Explanation, ExplanationKind, FeatureSpace, Point
+from .domain import Explanation, ExplanationKind, Point, corner_points
 
 
 class SeedBreaksInvariant(RuntimeError):
@@ -29,62 +31,40 @@ class NoCxpExists(RuntimeError):
     """The classifier is constant over the whole box, so no CXp exists."""
 
 
-@dataclass
-class ExplainerState:
-    """Working state of one explanation run; the three sets partition 1..N."""
-
-    space: FeatureSpace
-    candidates: set[int]
-    dropped: set[int]
-    picked: set[int]
-    v_low: list
-    v_up: list
-
-    def check_partition(self) -> None:
-        n = self.space.arity
-        assert len(self.candidates) + len(self.dropped) + len(self.picked) == n
-        assert self.candidates.isdisjoint(self.dropped)
-        assert self.candidates.isdisjoint(self.picked)
-        assert self.dropped.isdisjoint(self.picked)
-
-    def low_point(self) -> Point:
-        return Point(tuple(self.v_low))
-
-    def up_point(self) -> Point:
-        return Point(tuple(self.v_up))
-
-
-def free_attr(i: int, v: Point, state: ExplainerState, from_set: set[int], to_set: set[int]) -> ExplainerState:
-    """Let feature i range over its whole domain, moving it between sets."""
-    assert i in from_set, f"feature {i} not in the source set"
-    from_set.discard(i)
-    to_set.add(i)
-    state.v_low[i - 1] = state.space.domain(i).lower
-    state.v_up[i - 1] = state.space.domain(i).upper
-    return state
-
-
-def fix_attr(i: int, v: Point, state: ExplainerState, from_set: set[int], to_set: set[int]) -> ExplainerState:
-    """Pin feature i to its value in v, moving it between sets."""
-    assert i in from_set, f"feature {i} not in the source set"
-    from_set.discard(i)
-    to_set.add(i)
-    state.v_low[i - 1] = v.coordinate(i)
-    state.v_up[i - 1] = v.coordinate(i)
-    return state
-
-
 def _prepare(v: Point, oracle: ClassifierOracle, seed: Iterable[int], order: Optional[Sequence[int]]):
     space = oracle.space
     space.validate_point(v)
     seed_set = space.validate_features(seed)
-    if order is None:
-        order_seq: Sequence[int] = tuple(space.features)
-    else:
-        order_seq = tuple(order)
-        if sorted(order_seq) != list(space.features):
-            raise ValueError(f"order must be a permutation of 1..{space.arity}")
+    order_seq = tuple(space.features) if order is None else space.validate_order(order)
     return space, seed_set, order_seq
+
+
+def _scan(
+    oracle: ClassifierOracle,
+    start: tuple[Point, Point],
+    target: tuple[Point, Point],
+    agree: bool,
+    seed: frozenset[int],
+    order: Sequence[int],
+) -> frozenset[int]:
+    """Move each non-seed feature, in `order`, from the start box to the target box.
+
+    `agree` says whether the start box's corners get the same prediction. A
+    feature whose move changes that is moved back and picked.
+    """
+    low, up = list(start[0].values), list(start[1].values)
+    target_low, target_up = target[0].values, target[1].values
+    picked = set()
+    for i in order:
+        if i in seed:
+            continue
+        j = i - 1
+        was = low[j], up[j]
+        low[j], up[j] = target_low[j], target_up[j]
+        if (oracle.classify(Point(tuple(low))) == oracle.classify(Point(tuple(up)))) != agree:
+            low[j], up[j] = was
+            picked.add(i)
+    return frozenset(picked)
 
 
 def find_axp(
@@ -102,26 +82,11 @@ def find_axp(
     corner predictions already diverge after freeing the seed alone.
     """
     space, seed_set, order_seq = _prepare(v, oracle, seed, order)
-    state = ExplainerState(
-        space=space,
-        candidates=set(space.features),
-        dropped=set(),
-        picked=set(),
-        v_low=list(v.values),
-        v_up=list(v.values),
-    )
-    for i in sorted(seed_set):
-        free_attr(i, v, state, state.candidates, state.dropped)
-    if oracle.classify(state.low_point()) != oracle.classify(state.up_point()):
+    low, up = corner_points(space, v, frozenset(space.features) - seed_set)
+    if oracle.classify(low) != oracle.classify(up):
         raise SeedBreaksInvariant(f"freeing seed {sorted(seed_set)} already changes the prediction")
-    for i in order_seq:
-        if i not in state.candidates:
-            continue
-        free_attr(i, v, state, state.candidates, state.dropped)
-        if oracle.classify(state.low_point()) != oracle.classify(state.up_point()):
-            fix_attr(i, v, state, state.dropped, state.picked)
-        state.check_partition()
-    return Explanation(ExplanationKind.AXP, frozenset(state.picked))
+    full_box = (space.lower_point(), space.upper_point())
+    return Explanation(ExplanationKind.AXP, _scan(oracle, (low, up), full_box, True, seed_set, order_seq))
 
 
 def find_cxp(
@@ -141,25 +106,9 @@ def find_cxp(
     the corners.
     """
     space, seed_set, order_seq = _prepare(v, oracle, seed, order)
-    state = ExplainerState(
-        space=space,
-        candidates=set(space.features),
-        dropped=set(),
-        picked=set(),
-        v_low=[d.lower for d in space.domains],
-        v_up=[d.upper for d in space.domains],
-    )
-    for i in sorted(seed_set):
-        fix_attr(i, v, state, state.candidates, state.dropped)
-    if oracle.classify(state.low_point()) == oracle.classify(state.up_point()):
+    low, up = corner_points(space, v, seed_set)
+    if oracle.classify(low) == oracle.classify(up):
         if not seed_set:
             raise NoCxpExists("the classifier is constant over the feature space box")
         raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
-    for i in order_seq:
-        if i not in state.candidates:
-            continue
-        fix_attr(i, v, state, state.candidates, state.dropped)
-        if oracle.classify(state.low_point()) == oracle.classify(state.up_point()):
-            free_attr(i, v, state, state.dropped, state.picked)
-        state.check_partition()
-    return Explanation(ExplanationKind.CXP, frozenset(state.picked))
+    return Explanation(ExplanationKind.CXP, _scan(oracle, (low, up), (v, v), False, seed_set, order_seq))

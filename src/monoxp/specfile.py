@@ -135,18 +135,6 @@ def build_oracle(spec: dict) -> ClassifierOracle:
         raise SpecError(str(exc)) from exc
 
 
-def load_oracle(path: str) -> ClassifierOracle:
-    """Read a JSON classifier description and build its oracle."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-    except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
-    return build_oracle(spec)
-
-
 def load_spec(path: str) -> dict:
     """Read and minimally validate a JSON classifier description."""
     try:

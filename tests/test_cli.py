@@ -38,6 +38,12 @@ for line in sys.stdin:
         print("F", flush=True)
 """
 
+# the same child, except that it exits when asked about the point 1,2,3,4
+DYING_GRADE_ORACLE_SCRIPT = GRADE_ORACLE_SCRIPT.replace(
+    "for line in sys.stdin:\n",
+    "for line in sys.stdin:\n    if line.startswith('1,2,3,4'):\n        sys.exit(1)\n",
+)
+
 
 def write_spec(tmp_path, spec, name="clf.json"):
     path = tmp_path / name
@@ -267,10 +273,33 @@ class TestBench:
         assert lines[-1]["type"] == "aggregate"
 
 
+class TestArgumentBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--instances", "{rows}", "--parallel", "0"],
+            ["bench", "--instances", "{rows}", "--parallel", "-3"],
+            ["enumerate", "--instance", "10,10,5,0", "--limit", "-1"],
+            ["enumerate", "--instance", "10,10,5,0", "--budget", "-1"],
+        ],
+    )
+    def test_rejected_at_parse_time(self, tmp_path, capsys, argv):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        rows = tmp_path / "rows.csv"
+        rows.write_text("10,10,5,0\n")
+        out_path = tmp_path / "records.jsonl"
+        argv = [a.format(rows=rows) for a in argv]
+        code = main([*argv, "--spec", spec, "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage:" in err and f"argument {argv[-2]}: must be at least" in err
+        assert not out_path.exists()
+
+
 class TestExternalOracle:
-    def external_spec(self, tmp_path):
+    def external_spec(self, tmp_path, script_text=GRADE_ORACLE_SCRIPT):
         script = tmp_path / "oracle.py"
-        script.write_text(GRADE_ORACLE_SCRIPT)
+        script.write_text(script_text)
         return write_spec(
             tmp_path,
             {
@@ -307,6 +336,16 @@ class TestExternalOracle:
         assert out[-1]["instances"] == 4 and out[-1]["errors"] == 0
         predictions = {r["line"]: r["prediction"] for r in out[:-1]}
         assert predictions[1] == "A" and predictions[2] == "F" and predictions[3] == "B"
+
+    @pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]])
+    def test_bench_keeps_rows_finished_before_the_child_dies(self, tmp_path, capsys, parallel):
+        spec = self.external_spec(tmp_path, DYING_GRADE_ORACLE_SCRIPT)
+        instances = tmp_path / "rows.csv"
+        instances.write_text("10,10,5,0\n1,2,3,4\n")
+        code, out, err = run(capsys, "bench", "--spec", spec, "--instances", str(instances), *parallel)
+        assert code == 3
+        assert [(r["type"], r["line"], r["axp_count"], r["cxp_count"]) for r in out] == [("instance", 1, 1, 2)]
+        assert err[-1]["error"] == "oracle-failure"
 
     def test_bad_label_exits_3(self, tmp_path, capsys):
         spec = write_spec(

@@ -6,80 +6,74 @@ import pytest
 from conftest import assert_subset_minimal
 
 from monoxp import (
+    ClassifierOracle,
     CountingOracle,
-    ExplainerState,
     ExplanationKind,
     NoCxpExists,
     Point,
     SeedBreaksInvariant,
     brute_force_explanations,
-    corner_points,
     find_axp,
     find_cxp,
-    fix_attr,
-    free_attr,
     random_monotone_dnf,
     verify_axp,
     verify_cxp,
 )
 
 
-def fresh_state(oracle, v):
-    return ExplainerState(
-        space=oracle.space,
-        candidates=set(oracle.space.features),
-        dropped=set(),
-        picked=set(),
-        v_low=list(v.values),
-        v_up=list(v.values),
-    )
+class RecordingOracle(ClassifierOracle):
+    """Passes every query through and keeps the points asked, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.space = inner.space
+        self.classes = inner.classes
+        self.points = []
+
+    def classify(self, point):
+        self.points.append(point.values)
+        return self.inner.classify(point)
 
 
-class TestStateTransitions:
-    def test_free_widens_to_domain_bounds(self, grade):
-        v = Point((10, 10, 5, 0))
-        state = fresh_state(grade, v)
-        free_attr(1, v, state, state.candidates, state.dropped)
-        assert state.v_low == [0, 10, 5, 0]
-        assert state.v_up == [10, 10, 5, 0]  # v's first coordinate is already the maximum
-        assert state.dropped == {1}
+# Every point the scan asks on the grade example with order 1,2,3,4: the two
+# starting corners, then one corner pair per non-seed feature. An AXp scan
+# widens feature i to [0, 10] and pins it back when picked; a CXp scan pins
+# feature i to v and widens it back when picked.
+GRADE_QUERIES = [
+    (find_axp, set(), {1, 2}, [
+        (10, 10, 5, 0), (10, 10, 5, 0),
+        (0, 10, 5, 0), (10, 10, 5, 0),
+        (10, 0, 5, 0), (10, 10, 5, 0),
+        (10, 10, 0, 0), (10, 10, 10, 0),
+        (10, 10, 0, 0), (10, 10, 10, 10),
+    ]),
+    (find_axp, {3, 4}, {1, 2}, [
+        (10, 10, 0, 0), (10, 10, 10, 10),
+        (0, 10, 0, 0), (10, 10, 10, 10),
+        (10, 0, 0, 0), (10, 10, 10, 10),
+    ]),
+    (find_cxp, set(), {2}, [
+        (0, 0, 0, 0), (10, 10, 10, 10),
+        (10, 0, 0, 0), (10, 10, 10, 10),
+        (10, 10, 0, 0), (10, 10, 10, 10),
+        (10, 0, 5, 0), (10, 10, 5, 10),
+        (10, 0, 5, 0), (10, 10, 5, 0),
+    ]),
+    (find_cxp, {2}, {1}, [
+        (0, 10, 0, 0), (10, 10, 10, 10),
+        (10, 10, 0, 0), (10, 10, 10, 10),
+        (0, 10, 5, 0), (10, 10, 5, 10),
+        (0, 10, 5, 0), (10, 10, 5, 0),
+    ]),
+]
 
-    def test_freeing_all_reaches_the_full_box(self, grade):
-        v = Point((10, 10, 5, 0))
-        state = fresh_state(grade, v)
-        for i in grade.space.features:
-            free_attr(i, v, state, state.candidates, state.dropped)
-        low, up = corner_points(grade.space, v, set())
-        assert state.low_point() == low and state.up_point() == up
 
-    def test_fix_restores_instance_value(self, grade):
-        v = Point((10, 10, 5, 0))
-        state = fresh_state(grade, v)
-        free_attr(1, v, state, state.candidates, state.dropped)
-        fix_attr(1, v, state, state.dropped, state.picked)
-        assert state.v_low[0] == state.v_up[0] == 10
-        assert state.picked == {1}
-
-    def test_fix_is_idempotent_on_bounds(self, grade):
-        v = Point((10, 10, 5, 0))
-        state = fresh_state(grade, v)
-        fix_attr(2, v, state, state.candidates, state.dropped)
-        before = (list(state.v_low), list(state.v_up))
-        fix_attr(2, v, state, state.dropped, state.picked)
-        assert (state.v_low, state.v_up) == (list(before[0]), list(before[1]))
-
-    def test_fixing_all_pins_the_instance(self, grade):
-        v = Point((10, 10, 5, 0))
-        state = fresh_state(grade, v)
-        for i in grade.space.features:
-            fix_attr(i, v, state, state.candidates, state.dropped)
-        assert state.low_point() == v and state.up_point() == v
-
-    def test_moving_an_absent_feature_is_a_logic_error(self, grade):
-        v = Point((10, 10, 5, 0))
-        state = fresh_state(grade, v)
-        with pytest.raises(AssertionError):
-            free_attr(1, v, state, state.dropped, state.picked)
+@pytest.mark.parametrize("find,seed,expected,queries", GRADE_QUERIES, ids=["axp", "axp-seed", "cxp", "cxp-seed"])
+def test_grade_scan_queries(grade, find, seed, expected, queries):
+    oracle = RecordingOracle(grade)
+    expl = find(Point((10, 10, 5, 0)), oracle, seed=seed, order=(1, 2, 3, 4))
+    assert expl.features == expected
+    assert oracle.points == queries
 
 
 class TestFindAxp:
