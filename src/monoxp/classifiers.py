@@ -254,6 +254,9 @@ class ExternalProcessOracle(ClassifierOracle):
         except Exception:
             proc.kill()
             proc.wait()
+        finally:
+            if proc.stdout:
+                proc.stdout.close()
 
 
 class CountingOracle(ClassifierOracle):

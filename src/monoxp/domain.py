@@ -169,9 +169,11 @@ class ClassOrder:
         return self.rank(a) <= self.rank(b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explanation:
-    """An abductive (AXp) or contrastive (CXp) explanation: a set of feature indices."""
+    """An abductive (AXp) or contrastive (CXp) explanation: a set of feature indices.
+
+    Slotted, because callers keep whole families of them."""
 
     kind: ExplanationKind
     features: frozenset[int]

@@ -2,10 +2,25 @@
 
 Formulas here stay small (one variable per feature, one clause per reported
 explanation), so the solver is a deterministic backtracking search with unit
-propagation rather than a tuned CDCL engine. Determinism matters: branching
-is by ascending variable index with a configurable preferred polarity, and
-unconstrained variables are completed with that polarity, so runs are
-reproducible bit for bit.
+propagation rather than a tuned CDCL engine.
+
+`CnfFormula.add_clause` compiles each clause once into two bitmasks, one for
+its positive and one for its negative variables (bit i is variable i).
+`solve` keeps the partial assignment as two more masks, the variables set to
+1 and those set to 0, so every clause test is a few integer operations. The
+enumeration loop solves one formula after each clause it adds, and the
+compiled masks are what those calls share.
+
+Models are reproducible bit for bit because of the search order. Unit
+propagation only sets values that every model extending the current
+assignment must have. Branching takes the lowest unassigned variable and
+tries the preferred polarity first, and variables left free once every
+clause holds get the preferred polarity too. So the search meets the
+assignments in one fixed order: variable 1 decides first, then variable 2,
+and so on, with the preferred value before the other. A branch is given up
+only when no assignment extending it satisfies the formula. The model
+returned is therefore the first satisfying assignment in that order,
+whatever order propagation happens to set values in.
 """
 
 from __future__ import annotations
@@ -45,6 +60,8 @@ class CnfFormula:
             raise ValueError("need at least one variable")
         self.num_vars = num_vars
         self._clauses: list[Clause] = []
+        # (pos_mask, neg_mask) per clause, in step with _clauses; bit i is variable i
+        self._masks: list[tuple[int, int]] = []
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
@@ -58,7 +75,14 @@ class CnfFormula:
             clause = Clause(tuple(clause))
         if any(abs(l) > self.num_vars for l in clause.literals):
             raise ValueError(f"clause {clause.literals} uses a variable beyond {self.num_vars}")
+        pos = neg = 0
+        for lit in clause.literals:
+            if lit > 0:
+                pos |= 1 << lit
+            else:
+                neg |= 1 << -lit
         self._clauses.append(clause)
+        self._masks.append((pos, neg))
 
 
 def solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[tuple[int, ...]]:
@@ -70,52 +94,44 @@ def solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[tuple[int,
     """
     if default_polarity not in (0, 1):
         raise ValueError("default_polarity must be 0 or 1")
-    clauses = [c.literals for c in formula.clauses]
     n = formula.num_vars
+    all_vars = (1 << (n + 1)) - 2
 
-    def satisfied(lits: tuple[int, ...], assign: dict[int, int]) -> bool:
-        return any(
-            (lit > 0) == (assign.get(abs(lit)) == 1)
-            for lit in lits
-            if abs(lit) in assign
-        )
-
-    def search(assign: dict[int, int]) -> Optional[tuple[int, ...]]:
-        # unit propagation to fixpoint; detects falsified clauses on the way
-        while True:
-            unit = None
-            for lits in clauses:
-                sat = False
-                unassigned = []
-                for lit in lits:
-                    value = assign.get(abs(lit))
-                    if value is None:
-                        unassigned.append(lit)
-                    elif (lit > 0) == (value == 1):
-                        sat = True
-                        break
-                if sat:
+    def search(clauses: list[tuple[int, int]], ones: int, zeros: int) -> Optional[tuple[int, ...]]:
+        # unit propagation to fixpoint, keeping only the clauses still open;
+        # a clause satisfied here stays satisfied in every branch below
+        propagated = True
+        while propagated:
+            propagated = False
+            assigned = ones | zeros
+            open_clauses = []
+            for clause in clauses:
+                pos, neg = clause
+                if pos & ones or neg & zeros:
                     continue
-                if not unassigned:
+                free = (pos | neg) & ~assigned
+                if not free:
                     return None
-                if len(unassigned) == 1:
-                    unit = unassigned[0]
-                    break
-            if unit is None:
-                break
-            assign[abs(unit)] = 1 if unit > 0 else 0
-        if all(satisfied(lits, assign) for lits in clauses):
-            return tuple(assign.get(i, default_polarity) for i in range(1, n + 1))
-        var = next(i for i in range(1, n + 1) if i not in assign)
-        for value in (default_polarity, 1 - default_polarity):
-            child = dict(assign)
-            child[var] = value
-            model = search(child)
-            if model is not None:
-                return model
-        return None
+                if free & (free - 1):
+                    open_clauses.append(clause)
+                    continue
+                if free & pos:
+                    ones |= free
+                else:
+                    zeros |= free
+                assigned |= free
+                propagated = True
+            clauses = open_clauses
+        if not clauses:
+            bits = ones if default_polarity == 0 else ~zeros
+            return tuple((bits >> i) & 1 for i in range(1, n + 1))
+        free = all_vars & ~assigned
+        var = free & -free
+        if default_polarity:
+            return search(clauses, ones | var, zeros) or search(clauses, ones, zeros | var)
+        return search(clauses, ones, zeros | var) or search(clauses, ones | var, zeros)
 
-    return search({})
+    return search(formula._masks, 0, 0)
 
 
 def to_dimacs(formula: CnfFormula) -> str:

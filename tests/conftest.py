@@ -8,11 +8,13 @@ two-call corner shortcut used by the library.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 import pytest
 
 from monoxp import (
     ClassOrder,
+    CnfFormula,
     FeatureDomain,
     FeatureSpace,
     GradeClassifier,
@@ -81,6 +83,64 @@ def truth_table_sat(num_vars, clauses):
         if all(any((l > 0) == (bits[abs(l) - 1] == 1) for l in clause) for clause in clauses):
             return True
     return False
+
+
+def reference_solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[tuple[int, ...]]:
+    """The dict-based backtracking search `satcore.solve` replaced, kept as
+    the oracle for its models: a model (0/1 per variable) or None.
+
+    Any returned model satisfies every clause. Unassigned variables in a
+    found model are completed with `default_polarity`, which is also the
+    value tried first when branching.
+    """
+    if default_polarity not in (0, 1):
+        raise ValueError("default_polarity must be 0 or 1")
+    clauses = [c.literals for c in formula.clauses]
+    n = formula.num_vars
+
+    def satisfied(lits: tuple[int, ...], assign: dict[int, int]) -> bool:
+        return any(
+            (lit > 0) == (assign.get(abs(lit)) == 1)
+            for lit in lits
+            if abs(lit) in assign
+        )
+
+    def search(assign: dict[int, int]) -> Optional[tuple[int, ...]]:
+        # unit propagation to fixpoint; detects falsified clauses on the way
+        while True:
+            unit = None
+            for lits in clauses:
+                sat = False
+                unassigned = []
+                for lit in lits:
+                    value = assign.get(abs(lit))
+                    if value is None:
+                        unassigned.append(lit)
+                    elif (lit > 0) == (value == 1):
+                        sat = True
+                        break
+                if sat:
+                    continue
+                if not unassigned:
+                    return None
+                if len(unassigned) == 1:
+                    unit = unassigned[0]
+                    break
+            if unit is None:
+                break
+            assign[abs(unit)] = 1 if unit > 0 else 0
+        if all(satisfied(lits, assign) for lits in clauses):
+            return tuple(assign.get(i, default_polarity) for i in range(1, n + 1))
+        var = next(i for i in range(1, n + 1) if i not in assign)
+        for value in (default_polarity, 1 - default_polarity):
+            child = dict(assign)
+            child[var] = value
+            model = search(child)
+            if model is not None:
+                return model
+        return None
+
+    return search({})
 
 
 def assert_subset_minimal(expl, v, oracle):

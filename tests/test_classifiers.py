@@ -1,4 +1,5 @@
 import random
+import subprocess
 import sys
 
 import pytest
@@ -257,6 +258,25 @@ class TestExternalProcessOracle:
         with ExternalProcessOracle(_oracle_script("pass"), space, classes) as oracle:
             with pytest.raises(OracleError):
                 oracle.classify(Point((1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("child_hangs", [False, True])
+    def test_close_releases_both_pipes(self, child_hangs):
+        space, classes = self.grade_space()
+        with ExternalProcessOracle(_oracle_script(GRADE_ORACLE), space, classes) as oracle:
+            oracle.classify(Point((1, 1, 1, 1)))
+            proc = oracle._proc
+            if child_hangs:
+                # a child that outlives the grace period is killed
+                real_wait = proc.wait
+
+                def wait(timeout=None):
+                    if timeout is not None:
+                        raise subprocess.TimeoutExpired(proc.args, timeout)
+                    return real_wait()
+
+                proc.wait = wait
+        assert proc.stdin.closed and proc.stdout.closed
+        assert proc.returncode is not None
 
     def test_unstartable_command(self):
         space, classes = self.grade_space()

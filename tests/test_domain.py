@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -103,6 +105,14 @@ class TestExplanationType:
     def test_indices_positive(self):
         with pytest.raises(ValueError):
             Explanation(ExplanationKind.AXP, frozenset({0}))
+
+    def test_value_semantics(self):
+        expl = Explanation(ExplanationKind.CXP, {2, 3})
+        for twin in (pickle.loads(pickle.dumps(expl)), copy.deepcopy(expl)):
+            assert twin == expl and hash(twin) == hash(expl)
+            assert twin.features == frozenset({2, 3})
+        with pytest.raises(AttributeError):
+            expl.features = frozenset({1})
 
 
 class TestPointLeq:

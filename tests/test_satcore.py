@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import truth_table_sat
+from conftest import reference_solve, truth_table_sat
 
 from monoxp import Clause, CnfFormula, solve, to_dimacs
 
@@ -37,6 +37,14 @@ class TestFormula:
     def test_clause_list_grows(self):
         formula = formula_of(2, [[1], [2]])
         assert len(formula) == 2
+
+    def test_rejected_clause_leaves_formula_unchanged(self):
+        formula = formula_of(3, [[1, 2], [-1]])
+        before = solve(formula, default_polarity=0)
+        with pytest.raises(ValueError):
+            formula.add_clause([-2, 4, 5])
+        assert len(formula) == 2
+        assert solve(formula, default_polarity=0) == before == (0, 1, 0)
 
 
 class TestSolve:
@@ -81,13 +89,47 @@ clause_strategy = st.lists(
 @given(st.integers(6, 10), st.lists(clause_strategy, min_size=0, max_size=12))
 def test_agrees_with_truth_table(num_vars, clauses):
     formula = formula_of(num_vars, clauses)
-    model = solve(formula)
     expected_sat = truth_table_sat(num_vars, clauses)
-    assert (model is not None) == expected_sat
-    if model is not None:
-        assert len(model) == num_vars
-        for clause in clauses:
-            assert not clause or any((l > 0) == (model[abs(l) - 1] == 1) for l in clause)
+    for polarity in (1, 0):
+        model = solve(formula, default_polarity=polarity)
+        assert (model is not None) == expected_sat
+        if model is not None:
+            assert len(model) == num_vars
+            for clause in clauses:
+                assert not clause or any((l > 0) == (model[abs(l) - 1] == 1) for l in clause)
+
+
+@st.composite
+def formulas(draw):
+    """(num_vars, clauses): 1-12 variables, up to 25 clauses, empty ones included."""
+    num_vars = draw(st.integers(1, 12))
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.lists(literal, max_size=min(num_vars, 5)).map(
+        lambda lits: tuple({abs(l): l for l in lits}.values())
+    )
+    return num_vars, draw(st.lists(clause, max_size=25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_models_match_reference(case):
+    # not just satisfiability: the very model the enumeration turns into a seed
+    formula = formula_of(*case)
+    for polarity in (1, 0):
+        assert solve(formula, polarity) == reference_solve(formula, polarity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas())
+def test_models_match_reference_as_clauses_append(case):
+    # the enumeration loop solves one growing formula after every new clause
+    num_vars, clauses = case
+    formula = CnfFormula(num_vars)
+    for clause in (None, *clauses):
+        if clause is not None:
+            formula.add_clause(clause)
+        for polarity in (1, 0):
+            assert solve(formula, polarity) == reference_solve(formula, polarity)
 
 
 class TestDimacs:
