@@ -21,6 +21,17 @@ and so on, with the preferred value before the other. A branch is given up
 only when no assignment extending it satisfies the formula. The model
 returned is therefore the first satisfying assignment in that order,
 whatever order propagation happens to set values in.
+
+Each call resumes where the last one with the same polarity stopped. A
+formula only ever gains clauses, so its set of models only shrinks: every
+model of the formula now was a model at the last call too, and none came
+before the model that call returned. `solve` records that model on the
+formula and skips every branch whose assignments all lie before it in the
+preference order. The branches skipped hold no model, and the rest are
+searched in the same order, so the model found is the same one a search
+from scratch would return. A formula found unsatisfiable stays so, and
+later calls return None at once. The search runs on an explicit stack, so
+its depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -53,7 +64,11 @@ class Clause:
 
 
 class CnfFormula:
-    """CNF over variables 1..num_vars with an append-only clause list."""
+    """CNF over variables 1..num_vars with an append-only clause list.
+
+    `solve` records where its search stopped on the formula it is given, so
+    one formula must not be solved from two threads at once, as one oracle
+    must not be called from two threads at once."""
 
     def __init__(self, num_vars: int) -> None:
         if num_vars < 1:
@@ -62,6 +77,10 @@ class CnfFormula:
         self._clauses: list[Clause] = []
         # (pos_mask, neg_mask) per clause, in step with _clauses; bit i is variable i
         self._masks: list[tuple[int, int]] = []
+        # per polarity, the mask of the variables off the preferred value in
+        # the last model `solve` returned (0 before any call), or None for
+        # both once the formula is unsatisfiable
+        self._floor: list[Optional[int]] = [0, 0]
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
@@ -85,53 +104,80 @@ class CnfFormula:
         self._masks.append((pos, neg))
 
 
+def _propagate(
+    clauses: list[tuple[int, int]], ones: int, zeros: int
+) -> Optional[tuple[list[tuple[int, int]], int, int]]:
+    """Unit propagation to fixpoint: (open clauses, ones, zeros), or None on a conflict.
+
+    Only the clauses still open are kept; a clause satisfied here stays
+    satisfied in every branch below."""
+    propagated = True
+    while propagated:
+        propagated = False
+        assigned = ones | zeros
+        open_clauses = []
+        for clause in clauses:
+            pos, neg = clause
+            if pos & ones or neg & zeros:
+                continue
+            free = (pos | neg) & ~assigned
+            if not free:
+                return None
+            if free & (free - 1):
+                open_clauses.append(clause)
+                continue
+            if free & pos:
+                ones |= free
+            else:
+                zeros |= free
+            assigned |= free
+            propagated = True
+        clauses = open_clauses
+    return clauses, ones, zeros
+
+
 def solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[tuple[int, ...]]:
     """Complete satisfiability check; a model (0/1 per variable) or None.
 
     Any returned model satisfies every clause. Unassigned variables in a
     found model are completed with `default_polarity`, which is also the
-    value tried first when branching.
+    value tried first when branching. The call records the result on
+    `formula`, and the next call with the same polarity resumes from it.
     """
     if default_polarity not in (0, 1):
         raise ValueError("default_polarity must be 0 or 1")
+    floor = formula._floor[default_polarity]
+    if floor is None:
+        return None
     n = formula.num_vars
     all_vars = (1 << (n + 1)) - 2
-
-    def search(clauses: list[tuple[int, int]], ones: int, zeros: int) -> Optional[tuple[int, ...]]:
-        # unit propagation to fixpoint, keeping only the clauses still open;
-        # a clause satisfied here stays satisfied in every branch below
-        propagated = True
-        while propagated:
-            propagated = False
-            assigned = ones | zeros
-            open_clauses = []
-            for clause in clauses:
-                pos, neg = clause
-                if pos & ones or neg & zeros:
-                    continue
-                free = (pos | neg) & ~assigned
-                if not free:
-                    return None
-                if free & (free - 1):
-                    open_clauses.append(clause)
-                    continue
-                if free & pos:
-                    ones |= free
-                else:
-                    zeros |= free
-                assigned |= free
-                propagated = True
-            clauses = open_clauses
+    # depth-first on an explicit stack of (open clauses, ones, zeros)
+    stack = [(formula._masks, 0, 0)]
+    while stack:
+        node = _propagate(*stack.pop())
+        if node is None:
+            continue
+        clauses, ones, zeros = node
+        # the variables off the preferred value, the terms the floor is kept in
+        off = zeros if default_polarity else ones
         if not clauses:
+            formula._floor[default_polarity] = off
             bits = ones if default_polarity == 0 else ~zeros
             return tuple((bits >> i) & 1 for i in range(1, n + 1))
-        free = all_vars & ~assigned
+        free = all_vars & ~(ones | zeros)
         var = free & -free
-        if default_polarity:
-            return search(clauses, ones | var, zeros) or search(clauses, ones, zeros | var)
-        return search(clauses, ones, zeros | var) or search(clauses, ones | var, zeros)
-
-    return search(formula._masks, 0, 0)
+        # every variable below var is assigned: where does that prefix first
+        # differ from the floor's?
+        diff = (off ^ floor) & (var - 1)
+        if floor & diff & -diff:
+            continue  # preferred where the floor is not: all before it
+        one, zero = (clauses, ones | var, zeros), (clauses, ones, zeros | var)
+        preferred, other = (one, zero) if default_polarity else (zero, one)
+        stack.append(other)
+        if diff or not floor & var:
+            stack.append(preferred)  # else every assignment under it precedes the floor
+    formula._floor = [None, None]
+    return None
 
 
 def to_dimacs(formula: CnfFormula) -> str:

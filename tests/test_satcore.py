@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +80,30 @@ class TestSolve:
         formula = formula_of(4, [[1, -2], [-1, 3], [2, 4]])
         assert solve(formula) == solve(formula)
 
+    def test_resumed_search_leaves_the_last_model_behind(self):
+        # (1, 0, 1) comes first; once x1 = 0 is forced, x2 no longer needs
+        # the value the last model gave it and takes the preferred one
+        formula = formula_of(3, [[-1, -2], [2, 3]])
+        assert solve(formula) == (1, 0, 1)
+        formula.add_clause([-1])
+        assert solve(formula) == (0, 1, 1)
+
+    def test_unsat_stays_unsat_as_clauses_append(self):
+        formula = formula_of(2, [[1, 2], [-1], [-2]])
+        assert solve(formula) is None
+        for clause in ([1], [-1, 2], []):
+            formula.add_clause(clause)
+            for polarity in (0, 1):
+                assert solve(formula, polarity) is None
+
+    @pytest.mark.parametrize("polarity, ones", [(0, 1050), (1, 2100)])
+    def test_deep_search_needs_no_recursion(self, polarity, ones):
+        # over a thousand branching decisions, past Python's recursion limit
+        formula = formula_of(2100, [[i, i + 1] for i in range(1, 2100, 2)])
+        model = solve(formula, polarity)
+        assert sum(model) == ones
+        assert all(model[i - 1] or model[i] for i in range(1, 2100, 2))
+
 
 clause_strategy = st.lists(
     st.integers(1, 6).flatmap(lambda v: st.sampled_from([v, -v])),
@@ -130,6 +157,45 @@ def test_models_match_reference_as_clauses_append(case):
             formula.add_clause(clause)
         for polarity in (1, 0):
             assert solve(formula, polarity) == reference_solve(formula, polarity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(), st.data())
+def test_models_match_reference_across_interleaved_calls(case, data):
+    # each polarity resumes from its own last model, however many clauses
+    # were appended since and whichever polarity ran in between
+    num_vars, clauses = case
+    formula = CnfFormula(num_vars)
+    for clause in (None, *clauses):
+        if clause is not None:
+            formula.add_clause(clause)
+        for polarity in data.draw(st.lists(st.sampled_from([0, 1]), max_size=2, unique=True)):
+            assert solve(formula, polarity) == reference_solve(formula, polarity)
+
+
+def _pickled(formula):
+    return pickle.loads(pickle.dumps(formula))
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+@settings(max_examples=100, deadline=None)
+@given(case=formulas(), cut=st.integers(0, 25))
+def test_copies_resume_independently(duplicate, case, cut):
+    # a copy carries the search state; it and the original then grow apart
+    num_vars, clauses = case
+    formula = CnfFormula(num_vars)
+    for clause in clauses[:cut]:
+        formula.add_clause(clause)
+        for polarity in (1, 0):
+            solve(formula, polarity)
+    twin = duplicate(formula)
+    rest = clauses[cut:]
+    for original, other in zip(rest, [tuple(-l for l in c) for c in reversed(rest)]):
+        formula.add_clause(original)
+        twin.add_clause(other)
+        for f in (formula, twin):
+            for polarity in (1, 0):
+                assert solve(f, polarity) == reference_solve(f, polarity)
 
 
 class TestDimacs:
