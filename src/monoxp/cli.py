@@ -2,8 +2,9 @@
 
 Subcommands: explain, enumerate, verify, probe, bench. Results go to stdout
 as JSON Lines (one object per line, each with "schema": 1); structured error
-objects go to stderr. Exit codes: 0 success, 1 usage or input error,
-2 semantic (no contrastive explanation exists), 3 oracle failure.
+objects go to stderr. Exit codes: 0 success, 1 usage or input error (a
+path that cannot be opened included), 2 semantic (no contrastive explanation
+exists), 3 oracle failure.
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ import argparse
 import csv
 import json
 import os
+import queue
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, TextIO
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 from .classifiers import ClassifierOracle, CountingOracle, OracleError, probe_monotonicity
 from .domain import Explanation, Point, verify_axp, verify_cxp
-from .enumeration import InternalConsistencyError, enumerate_explanations
+from .enumeration import EnumerationReport, InternalConsistencyError, enumerate_explanations
 from .explainer import NoCxpExists, find_axp, find_cxp
 from .satcore import to_dimacs
 from .specfile import SCHEMA_VERSION, SpecError, build_oracle, load_spec
@@ -30,6 +31,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SEMANTIC = 2
 EXIT_ORACLE = 3
+
+T = TypeVar("T")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,9 +70,9 @@ def _emit_error(kind: str, message: str) -> None:
     _emit(sys.stderr, _record("error", error=kind, message=message))
 
 
-def _parse_values(text: str) -> list:
+def _parse_values(cells: Iterable[str]) -> list:
     values = []
-    for part in text.split(","):
+    for part in cells:
         part = part.strip()
         try:
             x = float(part)
@@ -80,7 +83,7 @@ def _parse_values(text: str) -> list:
 
 
 def _parse_instance(text: str, oracle: ClassifierOracle) -> Point:
-    point = Point(tuple(_parse_values(text)))
+    point = Point(tuple(_parse_values(text.split(","))))
     oracle.space.validate_point(point)
     return point
 
@@ -92,6 +95,10 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise ValueError(f"{what} must be comma-separated integers: {text!r}") from None
 
 
+def _parse_order(text: Optional[str], oracle: ClassifierOracle) -> Optional[tuple[int, ...]]:
+    return None if text is None else oracle.space.validate_order(_parse_ints(text, "order"))
+
+
 def _parse_features(text: str, oracle: ClassifierOracle) -> frozenset[int]:
     if text.strip() == "":
         return frozenset()
@@ -100,6 +107,35 @@ def _parse_features(text: str, oracle: ClassifierOracle) -> frozenset[int]:
 
 def _feature_names(oracle: ClassifierOracle, features) -> list[str]:
     return [oracle.space.name(i) for i in sorted(features)]
+
+
+def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle, str], T]) -> tuple[T, dict]:
+    """Classify v, then run `work(counter, prediction)` on the same counter.
+
+    Returns the work's result and the fields every per-instance record
+    shares; both timings cover the same span, the prediction plus the work.
+    """
+    counting = CountingOracle(oracle)
+    start = time.perf_counter()
+    prediction = counting.classify(v)
+    result = work(counting, prediction)
+    total = time.perf_counter() - start
+    return result, {
+        "instance": list(v.values),
+        "prediction": prediction,
+        "oracle_calls": counting.call_count,
+        "time_total": total,
+        "time_classifier": counting.classify_seconds,
+    }
+
+
+def _report_counts(report: EnumerationReport) -> dict:
+    return {
+        "axp_count": len(report.axps),
+        "cxp_count": len(report.cxps),
+        "sat_calls": report.sat_calls,
+        "complete": report.complete,
+    }
 
 
 @contextmanager
@@ -115,29 +151,19 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
 def cmd_explain(args) -> int:
     with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
-        order = None if args.order is None else oracle.space.validate_order(_parse_ints(args.order, "order"))
-        counting = CountingOracle(oracle)
-        start = time.perf_counter()
-        prediction = counting.classify(v)
-        if args.kind == "axp":
-            expl = find_axp(v, counting, order=order)
-        else:
-            expl = find_cxp(v, counting, order=order)
-        total = time.perf_counter() - start
+        order = _parse_order(args.order, oracle)
+        find = find_axp if args.kind == "axp" else find_cxp
+        expl, counted = _counted(oracle, v, lambda counting, _: find(v, counting, order=order))
         with _output(args.output) as stream:
             _emit(
                 stream,
                 _record(
                     "explanation",
-                    instance=list(v.values),
-                    prediction=prediction,
+                    **counted,
                     kind=expl.kind.value,
                     features=expl.sorted_features(),
                     feature_names=_feature_names(oracle, expl.features),
-                    oracle_calls=counting.call_count,
                     sat_calls=0,
-                    time_total=total,
-                    time_classifier=counting.classify_seconds,
                 ),
             )
     return EXIT_OK
@@ -146,51 +172,39 @@ def cmd_explain(args) -> int:
 def cmd_enumerate(args) -> int:
     with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
-        order = None if args.order is None else oracle.space.validate_order(_parse_ints(args.order, "order"))
-        counting = CountingOracle(oracle)
-        prediction = counting.classify(v)
+        order = _parse_order(args.order, oracle)
         with _output(args.output) as stream:
-            index = 0
 
-            def on_explanation(expl: Explanation) -> None:
-                nonlocal index
-                index += 1
-                _emit(
-                    stream,
-                    _record(
-                        "explanation",
-                        index=index,
-                        instance=list(v.values),
-                        prediction=prediction,
-                        kind=expl.kind.value,
-                        features=expl.sorted_features(),
-                        feature_names=_feature_names(oracle, expl.features),
-                    ),
+            def run(counting: CountingOracle, prediction: str) -> EnumerationReport:
+                index = 0
+
+                def on_explanation(expl: Explanation) -> None:
+                    nonlocal index
+                    index += 1
+                    _emit(
+                        stream,
+                        _record(
+                            "explanation",
+                            index=index,
+                            instance=list(v.values),
+                            prediction=prediction,
+                            kind=expl.kind.value,
+                            features=expl.sorted_features(),
+                            feature_names=_feature_names(oracle, expl.features),
+                        ),
+                    )
+
+                return enumerate_explanations(
+                    v,
+                    counting,
+                    limit=args.limit,
+                    budget=args.budget,
+                    order=order,
+                    callback=on_explanation,
                 )
 
-            report = enumerate_explanations(
-                v,
-                counting,
-                limit=args.limit,
-                budget=args.budget,
-                order=order,
-                callback=on_explanation,
-            )
-            _emit(
-                stream,
-                _record(
-                    "summary",
-                    instance=list(v.values),
-                    prediction=prediction,
-                    axp_count=len(report.axps),
-                    cxp_count=len(report.cxps),
-                    sat_calls=report.sat_calls,
-                    oracle_calls=counting.call_count,
-                    complete=report.complete,
-                    time_total=report.elapsed,
-                    time_classifier=counting.classify_seconds,
-                ),
-            )
+            report, counted = _counted(oracle, v, run)
+            _emit(stream, _record("summary", **counted, **_report_counts(report)))
         if args.dump_cnf and report.formula is not None:
             with open(args.dump_cnf, "w", encoding="utf-8") as handle:
                 handle.write(to_dimacs(report.formula))
@@ -201,29 +215,25 @@ def cmd_verify(args) -> int:
     with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
         features = _parse_features(args.features, oracle)
-        counting = CountingOracle(oracle)
         check = verify_axp if args.kind == "axp" else verify_cxp
-        start = time.perf_counter()
-        prediction = counting.classify(v)
-        holds = check(features, v, counting)
-        minimal = holds and all(not check(features - {i}, v, counting) for i in sorted(features))
-        total = time.perf_counter() - start
+
+        def audit(counting: CountingOracle, _) -> tuple[bool, bool]:
+            holds = check(features, v, counting)
+            return holds, holds and all(not check(features - {i}, v, counting) for i in sorted(features))
+
+        (holds, minimal), counted = _counted(oracle, v, audit)
         with _output(args.output) as stream:
             _emit(
                 stream,
                 _record(
                     "verification",
-                    instance=list(v.values),
-                    prediction=prediction,
+                    **counted,
                     kind=args.kind,
                     features=sorted(features),
                     feature_names=_feature_names(oracle, features),
                     sufficient=holds,
                     minimal=minimal,
-                    oracle_calls=counting.call_count,
                     sat_calls=0,
-                    time_total=total,
-                    time_classifier=counting.classify_seconds,
                 ),
             )
     return EXIT_OK
@@ -269,46 +279,26 @@ def _read_instance_rows(path: str) -> list[tuple[int, list]]:
             if first:
                 first = False
                 try:
-                    [float(c) for c in cells]
+                    _parse_values(cells)
                 except ValueError:
                     continue  # header row
             rows.append((reader.line_num, cells))
     return rows
 
 
-def _bench_one(spec: dict, local: threading.local, built: list, line: int, cells: list) -> dict:
-    oracle = getattr(local, "oracle", None)
-    if oracle is None:
-        oracle = build_oracle(spec)
-        local.oracle = oracle
-        built.append(oracle)  # list.append is atomic; workers never share oracles
+def _bench_one(oracle: ClassifierOracle, line: int, cells: list) -> dict:
     try:
-        values = [float(c) for c in cells]
+        point = Point(tuple(_parse_values(cells)))
+        report, counted = _counted(oracle, point, lambda counting, _: enumerate_explanations(point, counting))
     except ValueError as exc:
-        return _record("row-error", line=line, message=str(exc))
-    point = Point(tuple(int(x) if float(x).is_integer() else x for x in values))
-    try:
-        counting = CountingOracle(oracle)
-        start = time.perf_counter()
-        prediction = counting.classify(point)
-        report = enumerate_explanations(point, counting)
-        total = time.perf_counter() - start
-    except (ValueError, NoCxpExists) as exc:
         return _record("row-error", line=line, message=str(exc))
     return _record(
         "instance",
         line=line,
-        instance=list(point.values),
-        prediction=prediction,
+        **counted,
         axps=[e.sorted_features() for e in report.axps],
         cxps=[e.sorted_features() for e in report.cxps],
-        axp_count=len(report.axps),
-        cxp_count=len(report.cxps),
-        sat_calls=report.sat_calls,
-        oracle_calls=counting.call_count,
-        complete=report.complete,
-        time_total=total,
-        time_classifier=counting.classify_seconds,
+        **_report_counts(report),
     )
 
 
@@ -341,31 +331,34 @@ def aggregate_bench_records(records: Sequence[dict]) -> dict:
 
 def cmd_bench(args) -> int:
     spec = load_spec(args.spec)
-    build_oracle(spec).close()  # fail fast on a bad description
     rows = _read_instance_rows(args.instances)
-    local = threading.local()
-    built: list[ClassifierOracle] = []
     workers = args.parallel or 1
     records: list[dict] = []
+    with ExitStack() as stack:
+        # one oracle per worker; a row takes an idle one, so workers never share
+        idle: queue.SimpleQueue[ClassifierOracle] = queue.SimpleQueue()
+        for _ in range(workers):
+            idle.put(stack.enter_context(build_oracle(spec)))
+        stream = stack.enter_context(_output(args.output))
+        pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
 
-    def bench_row(row: tuple[int, list]) -> dict:
-        return _bench_one(spec, local, built, *row)
+        def bench_row(row: tuple[int, list]) -> dict:
+            oracle = idle.get()
+            try:
+                return _bench_one(oracle, *row)
+            finally:
+                idle.put(oracle)
 
-    try:
-        with _output(args.output) as stream, ThreadPoolExecutor(max_workers=workers) as pool:
-            # a serial run stays on this thread; either way rows come back in order,
-            # so each record goes out once its row and every earlier row are done
-            results = pool.map(bench_row, rows) if workers > 1 else map(bench_row, rows)
-            for record in results:
-                records.append(record)
-                if record["type"] == "row-error":
-                    _emit_error("malformed-row", f"line {record['line']}: {record['message']}")
-                else:
-                    _emit(stream, record)
-            _emit(stream, aggregate_bench_records(records))
-    finally:
-        for oracle in built:
-            oracle.close()
+        # a serial run stays on this thread; either way rows come back in order,
+        # so each record goes out once its row and every earlier row are done
+        results = pool.map(bench_row, rows) if workers > 1 else map(bench_row, rows)
+        for record in results:
+            records.append(record)
+            if record["type"] == "row-error":
+                _emit_error("malformed-row", f"line {record['line']}: {record['message']}")
+            else:
+                _emit(stream, record)
+        _emit(stream, aggregate_bench_records(records))
     return EXIT_OK
 
 
@@ -429,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OracleError, InternalConsistencyError) as exc:
         _emit_error("oracle-failure", str(exc))
         return EXIT_ORACLE
-    except (SpecError, ValueError) as exc:
+    except (SpecError, ValueError, OSError) as exc:
         _emit_error("invalid-input", str(exc))
         return EXIT_USAGE
 

@@ -27,8 +27,10 @@ from .satcore import Clause, CnfFormula, solve
 class InternalConsistencyError(RuntimeError):
     """A solver model led to a seed the explainer rejected.
 
-    The enumeration loop constructs seeds that are valid by construction for
-    monotone oracles, so this indicates a non-monotone oracle.
+    The explainer's seed box is the box whose two corners the loop has just
+    classified, so it rejects the seed only when the oracle answers the same
+    point differently on a second query. A deterministic oracle, monotone or
+    not, never raises this.
     """
 
 
@@ -102,7 +104,7 @@ def enumerate_explanations(
                 formula.add_clause(Clause(tuple(-i for i in expl.sorted_features())))
         except SeedBreaksInvariant as exc:
             raise InternalConsistencyError(
-                f"model {model} produced an invalid seed; the oracle is not monotone"
+                f"model {model}: the oracle answered the same corner point differently on a second query"
             ) from exc
         if callback is not None:
             callback(expl)

@@ -27,8 +27,11 @@ class SeedBreaksInvariant(RuntimeError):
     """
 
 
-class NoCxpExists(RuntimeError):
-    """The classifier is constant over the whole box, so no CXp exists."""
+class NoCxpExists(SeedBreaksInvariant):
+    """The classifier is constant over the whole box, so no CXp exists.
+
+    This is the empty-seed case of SeedBreaksInvariant for a CXp scan.
+    """
 
 
 def _prepare(v: Point, oracle: ClassifierOracle, seed: Iterable[int], order: Optional[Sequence[int]]):

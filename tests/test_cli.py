@@ -246,6 +246,17 @@ class TestBench:
         assert any("line 2" in m for m in messages)
         assert any("line 3" in m for m in messages)
 
+    def test_only_the_first_row_can_be_a_header(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        instances = tmp_path / "rows.csv"
+        instances.write_text("quiz,exam,homework,project\nnot,a,number,row\n10,10,5,0\n")
+        code, out, err = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
+        assert code == 0
+        assert out[-1]["instances"] == 1 and out[-1]["errors"] == 1
+        (error,) = err
+        assert error["error"] == "malformed-row"
+        assert error["message"].startswith("line 2: ")
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         spec = write_spec(tmp_path, MAJORITY_SPEC)
         instances = tmp_path / "rows.csv"
@@ -327,6 +338,13 @@ class TestExternalOracle:
         assert code == 0
         assert out[-1]["axp_count"] == 1 and out[-1]["cxp_count"] == 2
 
+    def test_enumerate_times_the_prediction_with_the_rest(self, tmp_path, capsys):
+        # the child starts during the prediction call, which both timings must cover
+        spec = self.external_spec(tmp_path)
+        code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
+        assert code == 0
+        assert out[-1]["time_classifier"] <= out[-1]["time_total"]
+
     def test_parallel_bench_spawns_one_process_per_worker(self, tmp_path, capsys):
         spec = self.external_spec(tmp_path)
         instances = tmp_path / "rows.csv"
@@ -375,6 +393,23 @@ class TestExternalOracle:
         )
         code, _, err = run(capsys, "explain", "--spec", spec, "--instance", "1", "--kind", "axp")
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--instances", "{missing}/rows.csv"],
+        ["explain", "--instance", "10,10,5,0", "--kind", "axp", "--output", "{missing}/out.jsonl"],
+        ["enumerate", "--instance", "10,10,5,0", "--dump-cnf", "{missing}/blocking.cnf"],
+    ],
+)
+def test_unopenable_path_is_an_input_error(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, GRADE_SPEC)
+    missing = tmp_path / "no-such-dir"
+    code, _, err = run(capsys, *[a.format(missing=missing) for a in argv], "--spec", spec)
+    assert code == 1
+    assert err[-1]["error"] == "invalid-input"
+    assert str(missing) in err[-1]["message"]
 
 
 class TestSpecLoading:

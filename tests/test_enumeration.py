@@ -89,6 +89,21 @@ class TestCornerCases:
         with pytest.raises(InternalConsistencyError):
             enumerate_explanations(Point((1, 1)), Flaky())
 
+    def test_nondeterministic_oracle_on_the_empty_seed_is_reported(self):
+        # differing corner labels pick the contrastive branch with an empty
+        # seed, then the explainer sees equal labels for the same corners
+        class Flaky:
+            def __init__(self):
+                self.space = FeatureSpace(tuple(FeatureDomain("boolean", 0, 1) for _ in range(2)))
+                self.classes = ClassOrder(("a", "b"))
+                self.script = iter(("a", "b", "a", "a"))
+
+            def classify(self, point):
+                return next(self.script, "a")
+
+        with pytest.raises(InternalConsistencyError):
+            enumerate_explanations(Point((1, 1)), Flaky())
+
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", range(12))
