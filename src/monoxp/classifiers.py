@@ -262,9 +262,9 @@ class ExternalProcessOracle(ClassifierOracle):
 class CountingOracle(ClassifierOracle):
     """Wrapper counting inner classify calls; optional exact-point memo cache.
 
-    Cache hits do not count and never change answers (inner oracles are
-    deterministic). Also accumulates wall time spent inside the inner oracle.
-    Not shareable across threads.
+    Cache hits are counted apart, in `cache_hits`, not in `call_count`, and
+    never change answers (inner oracles are deterministic). Also accumulates
+    wall time spent inside the inner oracle. Not shareable across threads.
     """
 
     def __init__(self, inner: ClassifierOracle, cache: bool = False) -> None:
@@ -272,12 +272,14 @@ class CountingOracle(ClassifierOracle):
         self.space = inner.space
         self.classes = inner.classes
         self.call_count = 0
+        self.cache_hits = 0
         self.classify_seconds = 0.0
         self._cache: Optional[dict[tuple[Number, ...], str]] = {} if cache else None
 
     def classify(self, point: Point) -> str:
         key = point.values
         if self._cache is not None and key in self._cache:
+            self.cache_hits += 1
             return self._cache[key]
         start = time.perf_counter()
         label = self.inner.classify(point)
@@ -289,6 +291,7 @@ class CountingOracle(ClassifierOracle):
 
     def reset(self) -> None:
         self.call_count = 0
+        self.cache_hits = 0
         self.classify_seconds = 0.0
         if self._cache is not None:
             self._cache.clear()

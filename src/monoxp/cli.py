@@ -134,6 +134,7 @@ def _report_counts(report: EnumerationReport) -> dict:
         "axp_count": len(report.axps),
         "cxp_count": len(report.cxps),
         "sat_calls": report.sat_calls,
+        "cache_hits": report.cache_hits,
         "complete": report.complete,
     }
 
@@ -173,7 +174,10 @@ def cmd_enumerate(args) -> int:
     with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
         order = _parse_order(args.order, oracle)
-        with _output(args.output) as stream:
+        with ExitStack() as stack:
+            # both paths open before the run, so a bad one costs no work
+            stream = stack.enter_context(_output(args.output))
+            dump = stack.enter_context(open(args.dump_cnf, "w", encoding="utf-8")) if args.dump_cnf else None
 
             def run(counting: CountingOracle, prediction: str) -> EnumerationReport:
                 index = 0
@@ -205,9 +209,8 @@ def cmd_enumerate(args) -> int:
 
             report, counted = _counted(oracle, v, run)
             _emit(stream, _record("summary", **counted, **_report_counts(report)))
-        if args.dump_cnf and report.formula is not None:
-            with open(args.dump_cnf, "w", encoding="utf-8") as handle:
-                handle.write(to_dimacs(report.formula))
+            if dump is not None:
+                dump.write(to_dimacs(report.formula))
     return EXIT_OK
 
 
@@ -323,6 +326,7 @@ def aggregate_bench_records(records: Sequence[dict]) -> dict:
         cxp_size_avg=cxp_size_total / cxp_total if cxp_total else 0.0,
         oracle_calls_avg=sum(r["oracle_calls"] for r in done) / count if count else 0.0,
         sat_calls_avg=sum(r["sat_calls"] for r in done) / count if count else 0.0,
+        cache_hits_avg=sum(r["cache_hits"] for r in done) / count if count else 0.0,
         time_total_sum=time_total,
         time_classifier_sum=time_classifier,
         classifier_time_pct=100.0 * time_classifier / time_total if time_total else 0.0,

@@ -9,6 +9,12 @@ a contrastive one). Each reported explanation adds one blocking clause:
 positive over an AXp's features, negative over a CXp's. One extra
 satisfiability call proves completion, so a finished run makes exactly
 len(axps) + len(cxps) + 1 solver calls.
+
+The explainer asks the oracle through a memo that lives for one run, so a
+point reaches the oracle once per run, except the loop's two corners: the
+loop asks them without the memo, and the explainer's invariant check
+compares them with its own answers, which catches an oracle that changes
+its mind.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ class InternalConsistencyError(RuntimeError):
 
     The explainer's seed box is the box whose two corners the loop has just
     classified, so it rejects the seed only when the oracle answers the same
-    point differently on a second query. A deterministic oracle, monotone or
-    not, never raises this.
+    point differently on a second query. The loop asks the corners without
+    the run's memo; the explainer's answer is a fresh oracle call, or the
+    memo's copy of an earlier call in the same run. A deterministic oracle,
+    monotone or not, never raises this.
     """
 
 
@@ -42,6 +50,7 @@ class EnumerationReport:
     cxps: list[Explanation] = field(default_factory=list)
     sat_calls: int = 0
     oracle_calls: int = 0
+    cache_hits: int = 0
     elapsed: float = 0.0
     classify_seconds: float = 0.0
     complete: bool = False
@@ -61,7 +70,6 @@ def enumerate_explanations(
     budget: Optional[float] = None,
     order: Optional[Sequence[int]] = None,
     default_polarity: int = 1,
-    cache: bool = False,
     callback: Optional[Callable[[Explanation], None]] = None,
 ) -> EnumerationReport:
     """Enumerate every AXp and CXp of v's prediction.
@@ -69,9 +77,12 @@ def enumerate_explanations(
     Explanations are handed to `callback` as they are found. A completed run
     reports the full families with no repetitions; `limit` (max explanations)
     or `budget` (wall-clock seconds) cut the run short, yielding a prefix of
-    a complete enumeration flagged complete=False.
+    a complete enumeration flagged complete=False. `oracle_calls` counts
+    the calls that reached the oracle, `cache_hits` the explainer's queries
+    the run's memo answered instead.
     """
-    counting = CountingOracle(oracle, cache=cache)
+    counting = CountingOracle(oracle)
+    memo = CountingOracle(counting, cache=True)
     space = counting.space
     space.validate_point(v)
     n = space.arity
@@ -94,12 +105,12 @@ def enumerate_explanations(
         try:
             if counting.classify(low) == counting.classify(up):
                 # the fixed side forces the prediction: some AXp inside it
-                expl = find_axp(v, counting, seed=all_features - fixed, order=order)
+                expl = find_axp(v, memo, seed=all_features - fixed, order=order)
                 report.axps.append(expl)
                 formula.add_clause(Clause(tuple(expl.sorted_features())))
             else:
                 # the free side admits a change: some CXp inside it
-                expl = find_cxp(v, counting, seed=fixed, order=order)
+                expl = find_cxp(v, memo, seed=fixed, order=order)
                 report.cxps.append(expl)
                 formula.add_clause(Clause(tuple(-i for i in expl.sorted_features())))
         except SeedBreaksInvariant as exc:
@@ -109,6 +120,7 @@ def enumerate_explanations(
         if callback is not None:
             callback(expl)
     report.oracle_calls = counting.call_count
+    report.cache_hits = memo.cache_hits
     report.classify_seconds = counting.classify_seconds
     report.elapsed = time.perf_counter() - start
     return report

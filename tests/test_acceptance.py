@@ -274,6 +274,7 @@ def test_criterion_7_bench_scale_substitute(tmp_path):
         "cxp_size_avg": sum(len(f) for r in per_instance for f in r["cxps"]) / cxp_total,
         "oracle_calls_avg": sum(r["oracle_calls"] for r in per_instance) / count,
         "sat_calls_avg": sum(r["sat_calls"] for r in per_instance) / count,
+        "cache_hits_avg": sum(r["cache_hits"] for r in per_instance) / count,
         "classifier_time_pct": 100.0 * time_classifier / time_total,
     }
     exact = all(aggregate[key] == value for key, value in recomputed.items())

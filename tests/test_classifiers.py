@@ -179,7 +179,7 @@ class TestCountingOracle:
         counting = CountingOracle(grade, cache=True)
         a = counting.classify(Point((1, 2, 3, 4)))
         b = counting.classify(Point((1, 2, 3, 4)))
-        assert a == b and counting.call_count == 1
+        assert a == b and counting.call_count == 1 and counting.cache_hits == 1
 
     def test_cached_answers_match_uncached(self, grade):
         rng = random.Random(11)
@@ -192,8 +192,9 @@ class TestCountingOracle:
     def test_reset(self, grade):
         counting = CountingOracle(grade, cache=True)
         counting.classify(Point((1, 2, 3, 4)))
+        counting.classify(Point((1, 2, 3, 4)))
         counting.reset()
-        assert counting.call_count == 0 and counting.classify_seconds == 0.0
+        assert counting.call_count == 0 and counting.cache_hits == 0 and counting.classify_seconds == 0.0
 
 
 class TestProber:

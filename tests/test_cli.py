@@ -120,6 +120,13 @@ class TestEnumerate:
         assert ("axp", (1, 2)) in kinds
         assert ("cxp", (1,)) in kinds and ("cxp", (2,)) in kinds
 
+    def test_summary_counts_the_memo_hits(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
+        assert code == 0
+        # the prediction plus the run's 15 calls; the memo answered 15 more
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (16, 15)
+
     def test_limit_marks_incomplete(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0", "--limit", "1")
@@ -217,6 +224,16 @@ class TestBench:
         assert aggregate["axp_size_avg"] == 2.0
         assert aggregate["cxp_size_avg"] == 1.0
         assert aggregate["instances"] == 1
+
+    def test_records_carry_the_memo_hits(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        instances = tmp_path / "rows.csv"
+        instances.write_text("10,10,5,0\n0,0,0,0\n5,5,5,5\n")
+        code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
+        assert code == 0
+        *rows, aggregate = out
+        assert rows[0]["cache_hits"] == 15
+        assert aggregate["cache_hits_avg"] == sum(r["cache_hits"] for r in rows) / 3
 
     def test_header_row_skipped(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
@@ -406,10 +423,11 @@ class TestExternalOracle:
 def test_unopenable_path_is_an_input_error(tmp_path, capsys, argv):
     spec = write_spec(tmp_path, GRADE_SPEC)
     missing = tmp_path / "no-such-dir"
-    code, _, err = run(capsys, *[a.format(missing=missing) for a in argv], "--spec", spec)
+    code, out, err = run(capsys, *[a.format(missing=missing) for a in argv], "--spec", spec)
     assert code == 1
     assert err[-1]["error"] == "invalid-input"
     assert str(missing) in err[-1]["message"]
+    assert out == []  # every path opens before the work starts
 
 
 class TestSpecLoading:

@@ -6,6 +6,7 @@ import pytest
 from conftest import assert_subset_minimal
 
 from monoxp import (
+    AppendixCnfClassifier,
     ClassOrder,
     CountingOracle,
     ExplanationKind,
@@ -188,13 +189,63 @@ class TestDualityChecker:
 
 class TestCounters:
     def test_memo_cache_changes_counts_not_families(self, grade):
-        plain = enumerate_explanations(Point((10, 10, 5, 0)), grade)
-        cached = enumerate_explanations(Point((10, 10, 5, 0)), grade, cache=True)
-        assert cached.axp_sets() == plain.axp_sets()
-        assert cached.cxp_sets() == plain.cxp_sets()
-        assert cached.oracle_calls <= plain.oracle_calls
+        v = Point((10, 10, 5, 0))
+        report = enumerate_explanations(v, grade)
+        axps, cxps = brute_force_explanations(v, grade)
+        assert report.axp_sets() == set(axps)
+        assert report.cxp_sets() == set(cxps)
+        # without the memo the run made 30 calls; the memo answers half of them
+        assert (report.oracle_calls, report.cache_hits) == (15, 15)
 
     def test_reported_oracle_calls_match_wrapper(self, grade):
         counting = CountingOracle(grade)
         report = enumerate_explanations(Point((10, 10, 5, 0)), counting)
         assert counting.call_count == report.oracle_calls
+
+
+class Recording:
+    """Oracle wrapper that logs the values of every point it is asked."""
+
+    def __init__(self, inner):
+        self.inner, self.space, self.classes = inner, inner.space, inner.classes
+        self.asked = []
+
+    def classify(self, point):
+        self.asked.append(point.values)
+        return self.inner.classify(point)
+
+
+def _draw_appendix_cnf(rng, k):
+    # a random 3-CNF over k variables, redrawn until no literal is common to every clause
+    while True:
+        clauses = [[x if rng.random() < 0.5 else -x for x in rng.sample(range(1, k + 1), 3)] for _ in range(round(4.3 * k))]
+        if not set(clauses[0]).intersection(*map(set, clauses[1:])):
+            return AppendixCnfClassifier(k, clauses)
+
+
+def _memo_reach_runs():
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 10)
+        clf = random_monotone_dnf(n, rng.randint(1, n), rng)
+        yield f"dnf-{seed}", clf, Point(tuple(rng.randint(0, 1) for _ in range(n)))
+    for seed in range(10):
+        clf = _draw_appendix_cnf(random.Random(seed), 5)
+        for corner in (0, 1):
+            yield f"cnf-{seed}-{corner}", clf, Point((corner,) * 10)
+    yield "grade", GradeClassifier(), Point((10, 10, 5, 0))
+
+
+def test_each_point_reaches_the_oracle_once_but_the_loop_corners():
+    # the loop asks its two corners past the memo and the explainer's
+    # invariant check may ask them again; no other point may repeat
+    runs = list(_memo_reach_runs())
+    assert len(runs) == 221
+    for name, clf, v in runs:
+        recording = Recording(clf)
+        report = enumerate_explanations(v, recording)
+        explanations = len(report.axps) + len(report.cxps)
+        repeats = len(recording.asked) - len(set(recording.asked))
+        assert report.complete, name
+        assert repeats <= 2 * explanations, (name, repeats, explanations)
+        assert report.oracle_calls == len(recording.asked), name
