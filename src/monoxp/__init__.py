@@ -20,7 +20,6 @@ from .classifiers import (
     MonotonicityViolation,
     OracleError,
     probe_monotonicity,
-    random_monotone_dnf,
 )
 from .domain import (
     ClassOrder,
@@ -30,7 +29,6 @@ from .domain import (
     FeatureSpace,
     Point,
     corner_points,
-    point_leq,
     verify_axp,
     verify_cxp,
 )
@@ -43,7 +41,7 @@ from .enumeration import (
     enumerate_explanations,
 )
 from .explainer import NoCxpExists, SeedBreaksInvariant, find_axp, find_cxp
-from .satcore import Clause, CnfFormula, solve, to_dimacs
+from .satcore import CnfFormula, solve, to_dimacs
 from .specfile import SpecError, build_oracle
 
 __version__ = "0.1.0"
@@ -52,7 +50,6 @@ __all__ = [
     "AppendixCnfClassifier",
     "ClassOrder",
     "ClassifierOracle",
-    "Clause",
     "CnfFormula",
     "CountingOracle",
     "DualityCounterexample",
@@ -79,9 +76,7 @@ __all__ = [
     "enumerate_explanations",
     "find_axp",
     "find_cxp",
-    "point_leq",
     "probe_monotonicity",
-    "random_monotone_dnf",
     "solve",
     "to_dimacs",
     "verify_axp",

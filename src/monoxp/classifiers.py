@@ -10,6 +10,7 @@ to be used from one thread at a time.
 from __future__ import annotations
 
 import abc
+import numbers
 import shlex
 import subprocess
 import time
@@ -91,6 +92,8 @@ class LinearThresholdClassifier(ClassifierOracle):
     ) -> None:
         if len(weights) != space.arity:
             raise ValueError(f"{len(weights)} weights for {space.arity} features")
+        if not all(isinstance(x, numbers.Real) for x in (*weights, *thresholds)):
+            raise TypeError("weights and thresholds must be numbers")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         if len(thresholds) != len(classes.labels) - 1:
@@ -108,6 +111,16 @@ class LinearThresholdClassifier(ClassifierOracle):
         return self.classes.labels[bisect_right(self.thresholds, score)]
 
 
+_BINARY = ClassOrder(("0", "1"))
+
+
+def _check_boolean_binary(space: FeatureSpace, classes: ClassOrder) -> None:
+    if any(d.kind != "boolean" for d in space.domains):
+        raise ValueError("this classifier's features must all be boolean")
+    if len(classes.labels) != 2:
+        raise ValueError(f"this classifier has exactly two classes, not {len(classes.labels)}")
+
+
 class MonotoneDnfClassifier(ClassifierOracle):
     """Boolean classifier: true iff some term (a set of features) is all ones.
 
@@ -115,17 +128,14 @@ class MonotoneDnfClassifier(ClassifierOracle):
     constant-0 classifier.
     """
 
-    def __init__(self, num_features: int, terms: Sequence[Sequence[int]], labels: Sequence[str] = ("0", "1")) -> None:
-        if num_features < 1:
-            raise ValueError("need at least one feature")
-        if len(labels) != 2:
-            raise ValueError("a DNF classifier has exactly two classes")
-        self.space = FeatureSpace(tuple(FeatureDomain("boolean", 0, 1) for _ in range(num_features)))
-        self.classes = ClassOrder(tuple(labels))
+    def __init__(self, space: FeatureSpace, terms: Sequence[Sequence[int]], classes: ClassOrder = _BINARY) -> None:
+        _check_boolean_binary(space, classes)
+        self.space = space
+        self.classes = classes
+        for term in terms:
+            if any(not isinstance(i, int) or not 1 <= i <= space.arity for i in term):
+                raise ValueError(f"term {list(term)} is not a list of features 1..{space.arity}")
         self.terms = tuple(frozenset(t) for t in terms)
-        for term in self.terms:
-            if any(not (1 <= i <= num_features) for i in term):
-                raise ValueError(f"term {sorted(term)} out of feature range 1..{num_features}")
 
     def classify(self, point: Point) -> str:
         self.space.validate_point(point)
@@ -146,21 +156,19 @@ class AppendixCnfClassifier(ClassifierOracle):
     rejects CNFs with a literal common to every clause.
     """
 
-    def __init__(self, num_source_vars: int, clauses: Sequence[Sequence[int]], labels: Sequence[str] = ("0", "1")) -> None:
-        if num_source_vars < 1:
-            raise ValueError("need at least one source variable")
+    def __init__(self, space: FeatureSpace, clauses: Sequence[Sequence[int]], classes: ClassOrder = _BINARY) -> None:
+        _check_boolean_binary(space, classes)
+        if space.arity % 2:
+            raise ValueError(f"needs an even number of features, not {space.arity}")
         if not clauses:
             raise ValueError("need at least one clause")
-        if len(labels) != 2:
-            raise ValueError("this classifier has exactly two classes")
-        k = num_source_vars
+        k = space.arity // 2
         cleaned: list[frozenset[int]] = []
         for clause in clauses:
-            lits = frozenset(int(l) for l in clause)
-            if any(l == 0 or abs(l) > k for l in lits):
-                raise ValueError(f"clause {sorted(clause)} has literals outside variables 1..{k}")
-            cleaned.append(lits)
-        common = frozenset.intersection(*cleaned) if cleaned else frozenset()
+            if any(not isinstance(l, int) or l == 0 or abs(l) > k for l in clause):
+                raise ValueError(f"clause {list(clause)} has literals outside variables 1..{k}")
+            cleaned.append(frozenset(clause))
+        common = frozenset.intersection(*cleaned)
         if common:
             lit = min(common, key=abs)
             name = f"-x{-lit}" if lit < 0 else f"x{lit}"
@@ -171,8 +179,8 @@ class AppendixCnfClassifier(ClassifierOracle):
         self.positive_clauses = tuple(
             frozenset(l if l > 0 else -l + k for l in clause) for clause in cleaned
         )
-        self.space = FeatureSpace(tuple(FeatureDomain("boolean", 0, 1) for _ in range(2 * k)))
-        self.classes = ClassOrder(tuple(labels))
+        self.space = space
+        self.classes = classes
 
     def classify(self, point: Point) -> str:
         self.space.validate_point(point)
@@ -328,17 +336,3 @@ def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0)
         if oracle.classes.rank(label_a) > oracle.classes.rank(label_b):
             violations.append(MonotonicityViolation(a, b, label_a, label_b))
     return violations
-
-
-def random_monotone_dnf(num_features: int, num_terms: int, rng) -> MonotoneDnfClassifier:
-    """Draw a random monotone DNF for tests: uniform-size positive terms,
-    keeping the term set an antichain (no term contains another)."""
-    terms: list[frozenset[int]] = []
-    for _ in range(num_terms):
-        size = rng.randint(1, num_features)
-        term = frozenset(rng.sample(range(1, num_features + 1), size))
-        if any(existing <= term for existing in terms):
-            continue
-        terms = [t for t in terms if not term <= t]
-        terms.append(term)
-    return MonotoneDnfClassifier(num_features, terms)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -32,6 +33,8 @@ class FeatureDomain:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        if not all(isinstance(b, numbers.Real) for b in (self.lower, self.upper)):
+            raise TypeError(f"domain bounds must be numbers, got [{self.lower!r}, {self.upper!r}]")
         lo, up = float(self.lower), float(self.upper)
         if not (lo <= up):
             raise ValueError(f"domain bounds out of order: [{self.lower}, {self.upper}]")
@@ -187,13 +190,6 @@ class Explanation:
 
     def sorted_features(self) -> list[int]:
         return sorted(self.features)
-
-
-def point_leq(a: Point, b: Point) -> bool:
-    """Componentwise order on points; partial, not total."""
-    if len(a.values) != len(b.values):
-        raise ValueError(f"points of different arity: {len(a.values)} vs {len(b.values)}")
-    return all(x <= y for x, y in zip(a.values, b.values))
 
 
 def corner_points(space: FeatureSpace, v: Point, fixed: Iterable[int]) -> tuple[Point, Point]:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .classifiers import ClassifierOracle, CountingOracle
 from .domain import Explanation, ExplanationKind, Point, corner_points
 from .explainer import SeedBreaksInvariant, find_axp, find_cxp
-from .satcore import Clause, CnfFormula, solve
+from .satcore import CnfFormula, solve
 
 
 class InternalConsistencyError(RuntimeError):
@@ -107,12 +107,12 @@ def enumerate_explanations(
                 # the fixed side forces the prediction: some AXp inside it
                 expl = find_axp(v, memo, seed=all_features - fixed, order=order)
                 report.axps.append(expl)
-                formula.add_clause(Clause(tuple(expl.sorted_features())))
+                formula.add_clause(expl.sorted_features())
             else:
                 # the free side admits a change: some CXp inside it
                 expl = find_cxp(v, memo, seed=fixed, order=order)
                 report.cxps.append(expl)
-                formula.add_clause(Clause(tuple(-i for i in expl.sorted_features())))
+                formula.add_clause(-i for i in expl.sorted_features())
         except SeedBreaksInvariant as exc:
             raise InternalConsistencyError(
                 f"model {model}: the oracle answered the same corner point differently on a second query"

@@ -5,11 +5,13 @@ explanation), so the solver is a deterministic backtracking search with unit
 propagation rather than a tuned CDCL engine.
 
 `CnfFormula.add_clause` compiles each clause once into two bitmasks, one for
-its positive and one for its negative variables (bit i is variable i).
-`solve` keeps the partial assignment as two more masks, the variables set to
-1 and those set to 0, so every clause test is a few integer operations. The
-enumeration loop solves one formula after each clause it adds, and the
-compiled masks are what those calls share.
+its positive and one for its negative variables (bit i is variable i). The
+masks are the formula's only copy of its clauses: `CnfFormula.clauses` and
+`to_dimacs` read the literals back from them. `solve` keeps the partial
+assignment as two more masks, the variables set to 1 and those set to 0, so
+every clause test is a few integer operations. The enumeration loop solves
+one formula after each clause it adds, and the compiled masks are what those
+calls share.
 
 Models are reproducible bit for bit because of the search order. Unit
 propagation only sets values that every model extending the current
@@ -36,31 +38,7 @@ its depth is not bounded by Python's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
-
-
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of literals; positive int = variable, negative = negation.
-
-    The empty clause is representable and unsatisfiable."""
-
-    literals: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "literals", tuple(self.literals))
-        if any(not isinstance(l, int) or l == 0 for l in self.literals):
-            raise ValueError("literals must be nonzero integers")
-        variables = [abs(l) for l in self.literals]
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable in clause {self.literals}")
-
-    def __iter__(self):
-        return iter(self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
 
 
 class CnfFormula:
@@ -74,8 +52,7 @@ class CnfFormula:
         if num_vars < 1:
             raise ValueError("need at least one variable")
         self.num_vars = num_vars
-        self._clauses: list[Clause] = []
-        # (pos_mask, neg_mask) per clause, in step with _clauses; bit i is variable i
+        # (pos_mask, neg_mask) per clause; bit i is variable i
         self._masks: list[tuple[int, int]] = []
         # per polarity, the mask of the variables off the preferred value in
         # the last model `solve` returned (0 before any call), or None for
@@ -83,24 +60,37 @@ class CnfFormula:
         self._floor: list[Optional[int]] = [0, 0]
 
     @property
-    def clauses(self) -> tuple[Clause, ...]:
-        return tuple(self._clauses)
+    def clauses(self) -> tuple[tuple[int, ...], ...]:
+        """Each clause's literals, by increasing variable."""
+        variables = range(1, self.num_vars + 1)
+        return tuple(
+            tuple(i if pos >> i & 1 else -i for i in variables if (pos | neg) >> i & 1)
+            for pos, neg in self._masks
+        )
 
     def __len__(self) -> int:
-        return len(self._clauses)
+        return len(self._masks)
 
-    def add_clause(self, clause: Clause | Iterable[int]) -> None:
-        if not isinstance(clause, Clause):
-            clause = Clause(tuple(clause))
-        if any(abs(l) > self.num_vars for l in clause.literals):
-            raise ValueError(f"clause {clause.literals} uses a variable beyond {self.num_vars}")
+    def add_clause(self, literals: Iterable[int]) -> None:
+        """Append the disjunction of `literals`: a positive int is a variable,
+        a negative one its negation. The empty clause is unsatisfiable.
+
+        Raises ValueError, leaving the formula unchanged, on a literal that
+        is not a nonzero int, names a variable beyond num_vars, or repeats a
+        variable."""
         pos = neg = 0
-        for lit in clause.literals:
+        for lit in literals:
+            if not isinstance(lit, int) or lit == 0:
+                raise ValueError(f"literal {lit!r} is not a nonzero integer")
+            if abs(lit) > self.num_vars:
+                raise ValueError(f"literal {lit} uses a variable beyond {self.num_vars}")
+            bit = 1 << abs(lit)
+            if (pos | neg) & bit:
+                raise ValueError(f"variable {abs(lit)} appears twice in one clause")
             if lit > 0:
-                pos |= 1 << lit
+                pos |= bit
             else:
-                neg |= 1 << -lit
-        self._clauses.append(clause)
+                neg |= bit
         self._masks.append((pos, neg))
 
 
@@ -184,5 +174,5 @@ def to_dimacs(formula: CnfFormula) -> str:
     """Standard DIMACS CNF rendering, for debugging dumps."""
     lines = [f"p cnf {formula.num_vars} {len(formula)}"]
     for clause in formula.clauses:
-        lines.append(" ".join([*(str(l) for l in clause.literals), "0"]))
+        lines.append(" ".join([*(str(l) for l in clause), "0"]))
     return "\n".join(lines) + "\n"

@@ -43,7 +43,7 @@ def _parse_space(entries: Any) -> FeatureSpace:
         _require("lower" in entry and "upper" in entry, f"feature {idx} needs 'lower' and 'upper' bounds")
         try:
             domains.append(FeatureDomain(kind, entry["lower"], entry["upper"]))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"feature {idx}: {exc}") from exc
         names.append(str(entry.get("name", f"f{idx}")))
     return FeatureSpace(tuple(domains), tuple(names))
@@ -63,18 +63,26 @@ def build_oracle(spec: dict) -> ClassifierOracle:
     _require(spec.get("schema") == SCHEMA_VERSION, f"missing or unsupported 'schema' (expected {SCHEMA_VERSION})")
     kind = spec.get("kind")
     _require(kind in KINDS, f"'kind' must be one of {', '.join(KINDS)}")
+    try:
+        return _construct(kind, spec)
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # a constructor rejected a parameter of the right JSON shape
+        raise SpecError(str(exc)) from exc
 
+
+def _construct(kind: str, spec: dict) -> ClassifierOracle:
     if kind == "grade":
         oracle = GradeClassifier()
         if "features" in spec:
-            space = _parse_space(spec["features"])
             _require(
-                space.arity == 4 and all(d.lower == 0 and d.upper == 10 for d in space.domains),
-                "the grade classifier has four features bounded [0, 10]",
+                _parse_space(spec["features"]).domains == oracle.space.domains,
+                "the grade classifier has four real features bounded [0, 10]",
             )
         if "classes" in spec:
             _require(
-                tuple(spec["classes"]) == oracle.classes.labels,
+                _parse_classes(spec["classes"]) == oracle.classes,
                 "the grade classifier's classes are F, E, D, C, B, A",
             )
         return oracle
@@ -84,42 +92,28 @@ def build_oracle(spec: dict) -> ClassifierOracle:
         classes = _parse_classes(spec.get("classes"))
         _require(isinstance(spec.get("weights"), list), "'weights' must be a list")
         _require(isinstance(spec.get("thresholds"), list), "'thresholds' must be a list")
-        try:
-            return LinearThresholdClassifier(space, spec["weights"], spec["thresholds"], classes)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
+        return LinearThresholdClassifier(space, spec["weights"], spec["thresholds"], classes)
 
     if kind == "monotone-dnf":
         space = _parse_space(spec.get("features"))
-        _require(all(d.kind == "boolean" for d in space.domains), "monotone-dnf features must be boolean")
-        labels = spec.get("classes", ["0", "1"])
-        _require(isinstance(labels, list) and len(labels) == 2, "monotone-dnf takes exactly two classes")
+        classes = _parse_classes(spec.get("classes", ["0", "1"]))
         _require(isinstance(spec.get("terms"), list), "'terms' must be a list of feature-index lists")
-        try:
-            clf = MonotoneDnfClassifier(space.arity, spec["terms"], tuple(str(l) for l in labels))
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-        clf.space = FeatureSpace(space.domains, space.feature_names)
-        return clf
+        return MonotoneDnfClassifier(space, spec["terms"], classes)
 
     if kind == "appendix-cnf":
         variables = spec.get("variables")
         _require(isinstance(variables, int) and variables >= 1, "'variables' must be a positive integer")
         _require(isinstance(spec.get("clauses"), list), "'clauses' must be a list of literal lists")
-        labels = spec.get("classes", ["0", "1"])
-        _require(isinstance(labels, list) and len(labels) == 2, "appendix-cnf takes exactly two classes")
-        try:
-            clf = AppendixCnfClassifier(variables, spec["clauses"], tuple(str(l) for l in labels))
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
+        classes = _parse_classes(spec.get("classes", ["0", "1"]))
         if "features" in spec:
             space = _parse_space(spec["features"])
             _require(
-                space.arity == clf.space.arity and all(d.kind == "boolean" for d in space.domains),
+                space.arity == 2 * variables,
                 f"appendix-cnf over {variables} variables needs {2 * variables} boolean features",
             )
-            clf.space = space
-        return clf
+        else:
+            space = FeatureSpace(tuple(FeatureDomain("boolean", 0, 1) for _ in range(2 * variables)))
+        return AppendixCnfClassifier(space, spec["clauses"], classes)
 
     # external
     space = _parse_space(spec.get("features"))
@@ -129,10 +123,7 @@ def build_oracle(spec: dict) -> ClassifierOracle:
         isinstance(command, str) or (isinstance(command, list) and all(isinstance(c, str) for c in command)),
         "'command' must be a string or a list of strings",
     )
-    try:
-        return ExternalProcessOracle(command, space, classes)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    return ExternalProcessOracle(command, space, classes)
 
 
 def load_spec(path: str) -> dict:

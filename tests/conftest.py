@@ -34,7 +34,7 @@ def grade():
 @pytest.fixture
 def majority():
     # 3-input majority vote as a positive DNF: any two inputs at 1
-    return MonotoneDnfClassifier(3, [[1, 2], [1, 3], [2, 3]])
+    return MonotoneDnfClassifier(boolean_space(3), [[1, 2], [1, 3], [2, 3]])
 
 
 @pytest.fixture
@@ -45,6 +45,27 @@ def constant():
 
 def boolean_space(n):
     return FeatureSpace(tuple(FeatureDomain("boolean", 0, 1) for _ in range(n)))
+
+
+def random_monotone_dnf(num_features, num_terms, rng):
+    """A random monotone DNF: uniform-size positive terms, keeping the term
+    set an antichain (no term contains another)."""
+    terms = []
+    for _ in range(num_terms):
+        size = rng.randint(1, num_features)
+        term = frozenset(rng.sample(range(1, num_features + 1), size))
+        if any(existing <= term for existing in terms):
+            continue
+        terms = [t for t in terms if not term <= t]
+        terms.append(term)
+    return MonotoneDnfClassifier(boolean_space(num_features), terms)
+
+
+def point_leq(a, b):
+    """Componentwise order on points; partial, not total."""
+    if len(a.values) != len(b.values):
+        raise ValueError(f"points of different arity: {len(a.values)} vs {len(b.values)}")
+    return all(x <= y for x, y in zip(a.values, b.values))
 
 
 def grid_points(space):
@@ -95,7 +116,7 @@ def reference_solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[
     """
     if default_polarity not in (0, 1):
         raise ValueError("default_polarity must be 0 or 1")
-    clauses = [c.literals for c in formula.clauses]
+    clauses = formula.clauses
     n = formula.num_vars
 
     def satisfied(lits: tuple[int, ...], assign: dict[int, int]) -> bool:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import assert_subset_minimal, truth_table_sat
+from conftest import assert_subset_minimal, boolean_space, random_monotone_dnf, truth_table_sat
 
 from monoxp import (
     AppendixCnfClassifier,
@@ -21,7 +21,6 @@ from monoxp import (
     enumerate_explanations,
     find_axp,
     find_cxp,
-    random_monotone_dnf,
 )
 from monoxp.cli import main
 
@@ -101,7 +100,7 @@ def certificate_runs():
     runs = []
     for _ in range(CNF_COUNT):
         k, clauses = _random_nontrivial_cnf(rng)
-        clf = AppendixCnfClassifier(k, clauses)
+        clf = AppendixCnfClassifier(boolean_space(2 * k), clauses)
         satisfiable = truth_table_sat(k, clauses)
         ones = Point((1,) * (2 * k))
         zeros = Point((0,) * (2 * k))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import grid_points
+from conftest import boolean_space, grid_points, point_leq, random_monotone_dnf
 
 from monoxp import (
     AppendixCnfClassifier,
@@ -18,9 +18,7 @@ from monoxp import (
     MonotoneDnfClassifier,
     OracleError,
     Point,
-    point_leq,
     probe_monotonicity,
-    random_monotone_dnf,
 )
 
 
@@ -94,18 +92,18 @@ def _locally_monotone(clf):
 
 class TestMonotoneDnf:
     def test_classify(self):
-        clf = MonotoneDnfClassifier(3, [[1, 2], [3]])
+        clf = MonotoneDnfClassifier(boolean_space(3), [[1, 2], [3]])
         assert clf.classify(Point((1, 1, 0))) == "1"
         assert clf.classify(Point((0, 0, 1))) == "1"
         assert clf.classify(Point((1, 0, 0))) == "0"
 
     def test_no_terms_is_constant_zero(self):
-        clf = MonotoneDnfClassifier(2, [])
+        clf = MonotoneDnfClassifier(boolean_space(2), [])
         assert {clf.classify(p) for p in grid_points(clf.space)} == {"0"}
 
     def test_term_range_checked(self):
         with pytest.raises(ValueError):
-            MonotoneDnfClassifier(2, [[3]])
+            MonotoneDnfClassifier(boolean_space(2), [[3]])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_instances_are_monotone(self, seed):
@@ -127,30 +125,30 @@ class TestMonotoneDnf:
 
 class TestAppendixCnf:
     def test_all_ones_classifies_one(self):
-        clf = AppendixCnfClassifier(2, [[1, 2], [-1, -2]])
+        clf = AppendixCnfClassifier(boolean_space(4), [[1, 2], [-1, -2]])
         assert clf.classify(Point((1, 1, 1, 1))) == "1"
 
     def test_all_zeros_classifies_zero(self):
-        clf = AppendixCnfClassifier(2, [[1, 2], [-1, -2]])
+        clf = AppendixCnfClassifier(boolean_space(4), [[1, 2], [-1, -2]])
         assert clf.classify(Point((0, 0, 0, 0))) == "0"
 
     def test_rewritten_clause_evaluation(self):
         # rewriting (x1 v x2) & (-x1 v -x2) gives (x1 v x2) & (x3 v x4)
-        clf = AppendixCnfClassifier(2, [[1, 2], [-1, -2]])
+        clf = AppendixCnfClassifier(boolean_space(4), [[1, 2], [-1, -2]])
         assert clf.classify(Point((1, 0, 0, 1))) == "1"
         assert clf.classify(Point((1, 0, 0, 0))) == "0"
 
     def test_trivially_satisfiable_rejected_naming_literal(self):
         with pytest.raises(ValueError, match="x1"):
-            AppendixCnfClassifier(2, [[1, 2], [1, -2]])
+            AppendixCnfClassifier(boolean_space(4), [[1, 2], [1, -2]])
         with pytest.raises(ValueError, match="-x2"):
-            AppendixCnfClassifier(2, [[-2, 1], [-2, -1]])
+            AppendixCnfClassifier(boolean_space(4), [[-2, 1], [-2, -1]])
 
     def test_literal_range_checked(self):
         with pytest.raises(ValueError):
-            AppendixCnfClassifier(2, [[3]])
-        with pytest.raises(ValueError):
-            AppendixCnfClassifier(0, [[1]])
+            AppendixCnfClassifier(boolean_space(4), [[3]])
+        with pytest.raises(ValueError, match="even number"):
+            AppendixCnfClassifier(boolean_space(3), [[1]])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_monotone_for_small_cnfs(self, seed):
@@ -162,7 +160,7 @@ class TestAppendixCnf:
             variables = rng.sample(range(1, k + 1), size)
             clauses.append([v if rng.random() < 0.5 else -v for v in variables])
         try:
-            clf = AppendixCnfClassifier(k, clauses)
+            clf = AppendixCnfClassifier(boolean_space(2 * k), clauses)
         except ValueError:
             return  # drew a trivially satisfiable CNF
         assert _locally_monotone(clf)
@@ -195,6 +193,16 @@ class TestCountingOracle:
         counting.classify(Point((1, 2, 3, 4)))
         counting.reset()
         assert counting.call_count == 0 and counting.cache_hits == 0 and counting.classify_seconds == 0.0
+
+
+@pytest.mark.parametrize("cls, params", [(MonotoneDnfClassifier, [[1]]), (AppendixCnfClassifier, [[1], [-1]])])
+def test_boolean_classifiers_check_their_space_and_classes(cls, params):
+    integers = FeatureSpace(tuple(FeatureDomain("integer", 0, 1) for _ in range(2)))
+    with pytest.raises(ValueError, match="boolean"):
+        cls(integers, params)
+    with pytest.raises(ValueError, match="two classes"):
+        cls(boolean_space(2), params, ClassOrder(("lo", "mid", "hi")))
+    assert cls(boolean_space(2), params, ClassOrder(("lo", "hi"))).classes.labels == ("lo", "hi")
 
 
 class TestProber:

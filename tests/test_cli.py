@@ -148,9 +148,7 @@ class TestEnumerate:
             capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0", "--dump-cnf", str(dump)
         )
         assert code == 0
-        lines = dump.read_text().strip().splitlines()
-        assert lines[0] == "p cnf 4 3"
-        assert all(line.endswith(" 0") for line in lines[1:])
+        assert dump.read_text() == "p cnf 4 3\n-2 0\n-1 0\n1 2 0\n"
 
     def test_round_trip_through_verify(self, tmp_path, capsys):
         spec = write_spec(tmp_path, MAJORITY_SPEC)
@@ -499,14 +497,38 @@ class TestSpecLoading:
             )
 
     def test_grade_shape_checked(self):
-        with pytest.raises(SpecError):
-            build_oracle(
-                {
-                    "schema": 1,
-                    "kind": "grade",
-                    "features": [{"name": "a", "kind": "real", "lower": 0, "upper": 5}],
-                }
-            )
+        real = {"kind": "real", "lower": 0, "upper": 10.0}
+        matching = {"features": [real] * 4, "classes": list("FEDCBA")}
+        assert build_oracle({"schema": 1, "kind": "grade", **matching}).classes.labels == tuple("FEDCBA")
+        for mismatch in (
+            {"features": [{"name": "a", "kind": "real", "lower": 0, "upper": 5}]},
+            {"features": [{**real, "kind": "integer", "upper": 10}] * 4},
+            {"classes": "FEDCBA"},
+        ):
+            with pytest.raises(SpecError):
+                build_oracle({"schema": 1, "kind": "grade", **mismatch})
+
+    @pytest.mark.parametrize(
+        "spec, instance",
+        [
+            ({**GRADE_SPEC, "classes": 5}, "10,10,5,0"),
+            ({**CONSTANT_SPEC, "weights": ["x", 1]}, "0,0"),
+            ({**CONSTANT_SPEC, "classes": ["lo", "hi"], "thresholds": ["x"]}, "0,0"),
+            ({**MAJORITY_SPEC, "terms": [3]}, "1,1,1"),
+            ({**MAJORITY_SPEC, "terms": ["1"]}, "1,1,1"),
+            ({**MAJORITY_SPEC, "terms": [[1.0]]}, "1,1,1"),
+            ({"schema": 1, "kind": "appendix-cnf", "variables": 1, "clauses": [1, 2]}, "1,1"),
+            ({**CONSTANT_SPEC, "features": [{"kind": "integer", "lower": "0", "upper": 1}] * 2}, "0,0"),
+        ],
+        ids=["grade-classes", "linear-weights", "linear-thresholds", "dnf-term-int", "dnf-term-str", "dnf-term-float",
+             "cnf-clauses", "bound-str"],
+    )
+    def test_malformed_values_are_input_errors(self, tmp_path, capsys, spec, instance):
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(capsys, "explain", "--spec", path, "--instance", instance, "--kind", "axp")
+        assert code == 1
+        assert out == []
+        assert err[-1]["error"] == "invalid-input"
 
     def test_instance_echoes_names(self, tmp_path, capsys):
         spec = write_spec(tmp_path, MAJORITY_SPEC)

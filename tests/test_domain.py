@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import boolean_space, semantic_axp, semantic_cxp
+from conftest import boolean_space, point_leq, random_monotone_dnf, semantic_axp, semantic_cxp
 
 from monoxp import (
     ClassOrder,
@@ -16,8 +16,6 @@ from monoxp import (
     FeatureSpace,
     Point,
     corner_points,
-    point_leq,
-    random_monotone_dnf,
     verify_axp,
     verify_cxp,
 )

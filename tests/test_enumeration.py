@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import assert_subset_minimal
+from conftest import assert_subset_minimal, boolean_space, random_monotone_dnf
 
 from monoxp import (
     AppendixCnfClassifier,
@@ -18,7 +18,6 @@ from monoxp import (
     brute_force_explanations,
     check_duality,
     enumerate_explanations,
-    random_monotone_dnf,
 )
 
 
@@ -144,18 +143,14 @@ class TestAgainstBruteForce:
 
 class TestSatisfiabilityCertificate:
     def test_satisfiable_source_exceeds_half(self):
-        from monoxp import AppendixCnfClassifier
-
-        clf = AppendixCnfClassifier(2, [[1, 2], [-1, -2]])  # satisfiable source CNF
+        clf = AppendixCnfClassifier(boolean_space(4), [[1, 2], [-1, -2]])  # satisfiable source CNF
         report = enumerate_explanations(Point((1, 1, 1, 1)), clf)
         assert len(report.axps) == 4 > clf.space.arity / 2
         zeros = enumerate_explanations(Point((0, 0, 0, 0)), clf)
         assert len(zeros.cxps) == 4 > clf.space.arity / 2
 
     def test_unsatisfiable_source_stays_at_half(self):
-        from monoxp import AppendixCnfClassifier
-
-        clf = AppendixCnfClassifier(1, [[1], [-1]])  # unsatisfiable source CNF
+        clf = AppendixCnfClassifier(boolean_space(2), [[1], [-1]])  # unsatisfiable source CNF
         report = enumerate_explanations(Point((1, 1)), clf)
         assert report.axp_sets() == {frozenset({1, 2})}
         assert len(report.axps) == 1 <= clf.space.arity / 2
@@ -220,7 +215,7 @@ def _draw_appendix_cnf(rng, k):
     while True:
         clauses = [[x if rng.random() < 0.5 else -x for x in rng.sample(range(1, k + 1), 3)] for _ in range(round(4.3 * k))]
         if not set(clauses[0]).intersection(*map(set, clauses[1:])):
-            return AppendixCnfClassifier(k, clauses)
+            return AppendixCnfClassifier(boolean_space(2 * k), clauses)
 
 
 def _memo_reach_runs():

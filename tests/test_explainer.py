@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import assert_subset_minimal
+from conftest import assert_subset_minimal, random_monotone_dnf
 
 from monoxp import (
     ClassifierOracle,
@@ -15,7 +15,6 @@ from monoxp import (
     brute_force_explanations,
     find_axp,
     find_cxp,
-    random_monotone_dnf,
     verify_axp,
     verify_cxp,
 )

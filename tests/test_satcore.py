@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import reference_solve, truth_table_sat
 
-from monoxp import Clause, CnfFormula, solve, to_dimacs
+from monoxp import CnfFormula, solve, to_dimacs
 
 
 def formula_of(num_vars, clauses):
@@ -18,17 +18,20 @@ def formula_of(num_vars, clauses):
 
 class TestClause:
     def test_duplicate_variable_rejected(self):
-        with pytest.raises(ValueError):
-            Clause((1, -1))
-        with pytest.raises(ValueError):
-            Clause((2, 2))
+        formula = formula_of(2, [[1]])
+        for literals in ((1, -1), (2, 2)):
+            with pytest.raises(ValueError):
+                formula.add_clause(literals)
+            assert len(formula) == 1
 
     def test_zero_literal_rejected(self):
+        formula = formula_of(2, [[1]])
         with pytest.raises(ValueError):
-            Clause((0,))
+            formula.add_clause((0,))
+        assert len(formula) == 1
 
     def test_empty_clause_representable(self):
-        assert len(Clause(())) == 0
+        assert formula_of(1, [[]]).clauses == ((),)
 
 
 class TestFormula:
@@ -200,12 +203,9 @@ def test_copies_resume_independently(duplicate, case, cut):
 
 class TestDimacs:
     def test_rendering(self):
-        formula = formula_of(2, [[1, 2], [-1]])
-        text = to_dimacs(formula)
-        lines = text.strip().splitlines()
-        assert lines[0] == "p cnf 2 2"
-        assert lines[1] == "1 2 0"
-        assert lines[2] == "-1 0"
+        # each clause is listed by increasing variable, however it was given
+        formula = formula_of(3, [[1, 2], [-1], [3, -1]])
+        assert to_dimacs(formula) == "p cnf 3 3\n1 2 0\n-1 0\n-1 3 0\n"
 
     def test_empty_clause_rendering(self):
         formula = formula_of(1, [[]])
