@@ -10,7 +10,7 @@ to be used from one thread at a time.
 from __future__ import annotations
 
 import abc
-import numbers
+import operator
 import shlex
 import subprocess
 import time
@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domain import ClassOrder, FeatureDomain, FeatureSpace, Number, Point
+from .domain import ClassOrder, FeatureDomain, FeatureSpace, Number, Point, _is_int, _is_number
 
 
 class OracleError(RuntimeError):
@@ -92,7 +92,7 @@ class LinearThresholdClassifier(ClassifierOracle):
     ) -> None:
         if len(weights) != space.arity:
             raise ValueError(f"{len(weights)} weights for {space.arity} features")
-        if not all(isinstance(x, numbers.Real) for x in (*weights, *thresholds)):
+        if not all(map(_is_number, (*weights, *thresholds))):
             raise TypeError("weights and thresholds must be numbers")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
@@ -107,7 +107,7 @@ class LinearThresholdClassifier(ClassifierOracle):
 
     def classify(self, point: Point) -> str:
         self.space.validate_point(point)
-        score = sum(w * x for w, x in zip(self.weights, point.values))
+        score = sum(map(operator.mul, self.weights, point.values))
         return self.classes.labels[bisect_right(self.thresholds, score)]
 
 
@@ -133,7 +133,7 @@ class MonotoneDnfClassifier(ClassifierOracle):
         self.space = space
         self.classes = classes
         for term in terms:
-            if any(not isinstance(i, int) or not 1 <= i <= space.arity for i in term):
+            if any(not _is_int(i) or not 1 <= i <= space.arity for i in term):
                 raise ValueError(f"term {list(term)} is not a list of features 1..{space.arity}")
         self.terms = tuple(frozenset(t) for t in terms)
 
@@ -165,7 +165,7 @@ class AppendixCnfClassifier(ClassifierOracle):
         k = space.arity // 2
         cleaned: list[frozenset[int]] = []
         for clause in clauses:
-            if any(not isinstance(l, int) or l == 0 or abs(l) > k for l in clause):
+            if any(not _is_int(l) or l == 0 or abs(l) > k for l in clause):
                 raise ValueError(f"clause {list(clause)} has literals outside variables 1..{k}")
             cleaned.append(frozenset(clause))
         common = frozenset.intersection(*cleaned)
@@ -174,21 +174,24 @@ class AppendixCnfClassifier(ClassifierOracle):
             name = f"-x{-lit}" if lit < 0 else f"x{lit}"
             raise ValueError(f"literal {name} occurs in every clause, so the CNF is trivially satisfiable")
         self.num_source_vars = k
-        self.source_clauses = tuple(tuple(sorted(c, key=abs)) for c in cleaned)
-        # positive rewrite: -x_i becomes x_{i+k}
-        self.positive_clauses = tuple(
-            frozenset(l if l > 0 else -l + k for l in clause) for clause in cleaned
+        # Bit j stands for feature j+1; the positive rewrite maps -x_i to
+        # feature i+k, so a clause is a mask over features 1..2k.
+        self._bits = tuple(1 << j for j in range(2 * k))
+        self._clause_masks = tuple(
+            sum(1 << (l - 1 if l > 0 else k - l - 1) for l in clause) for clause in cleaned
         )
         self.space = space
         self.classes = classes
 
     def classify(self, point: Point) -> str:
         self.space.validate_point(point)
-        values = point.values
-        k = self.num_source_vars
-        paired = any(values[i - 1] == 1 and values[i + k - 1] == 1 for i in range(1, k + 1))
-        rewritten = all(any(values[j - 1] == 1 for j in clause) for clause in self.positive_clauses)
-        return self.classes.labels[1 if (paired or rewritten) else 0]
+        # A validated point is 0/1 per feature: one pass turns it into the
+        # mask of its ones (exact, also for 0.0/1.0 and False/True).
+        ones = int(sum(map(operator.mul, point.values, self._bits)))
+        # paired: bit i of the lower half and bit i of the upper half, x_i and its negation
+        paired = ones & (ones >> self.num_source_vars)
+        hit = paired or all(map(ones.__and__, self._clause_masks))
+        return self.classes.labels[1 if hit else 0]
 
 
 def _format_coordinate(value: Number) -> str:

@@ -9,10 +9,21 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 Number = float | int
+
+
+def _is_number(x) -> bool:
+    """A real number, but not a bool: JSON true/false must not pass for 1/0."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    """An int, but not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class ExplanationKind(str, enum.Enum):
@@ -33,7 +44,7 @@ class FeatureDomain:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if not all(isinstance(b, numbers.Real) for b in (self.lower, self.upper)):
+        if not (_is_number(self.lower) and _is_number(self.upper)):
             raise TypeError(f"domain bounds must be numbers, got [{self.lower!r}, {self.upper!r}]")
         lo, up = float(self.lower), float(self.upper)
         if not (lo <= up):
@@ -78,6 +89,12 @@ class FeatureSpace:
             object.__setattr__(self, "feature_names", names)
             if len(names) != len(self.domains):
                 raise ValueError("feature_names length differs from the number of domains")
+        # Read by validate_point's compiled passes. Plain tuples, not fields:
+        # equality, hashing and repr see only the domains and names, and the
+        # space still pickles and copies.
+        object.__setattr__(self, "_lowers", tuple(d.lower for d in self.domains))
+        object.__setattr__(self, "_uppers", tuple(d.upper for d in self.domains))
+        object.__setattr__(self, "_discrete", tuple(i for i, d in enumerate(self.domains) if d.discrete))
 
     @property
     def arity(self) -> int:
@@ -97,15 +114,27 @@ class FeatureSpace:
         return f"f{i}"
 
     def lower_point(self) -> "Point":
-        return Point(tuple(d.lower for d in self.domains))
+        return Point(self._lowers)
 
     def upper_point(self) -> "Point":
-        return Point(tuple(d.upper for d in self.domains))
+        return Point(self._uppers)
 
     def validate_point(self, point: "Point") -> None:
-        if len(point.values) != self.arity:
-            raise ValueError(f"point arity {len(point.values)} differs from space arity {self.arity}")
-        for i, (value, dom) in enumerate(zip(point.values, self.domains), start=1):
+        values = point.values
+        if len(values) != self.arity:
+            raise ValueError(f"point arity {len(values)} differs from space arity {self.arity}")
+        # The comparisons FeatureDomain.contains makes, one compiled pass each.
+        try:
+            if (
+                all(map(operator.le, self._lowers, values))
+                and all(map(operator.le, values, self._uppers))
+                and all(map(float.is_integer, map(float, map(values.__getitem__, self._discrete))))
+            ):
+                return
+        except (TypeError, ValueError):
+            pass  # a coordinate of no number type: the loop below raises for the first bad one
+        # Rejected: the per-coordinate check names the first bad coordinate.
+        for i, (value, dom) in enumerate(zip(values, self.domains), start=1):
             if not dom.contains(value):
                 raise ValueError(f"coordinate {i} value {value!r} outside {dom.kind} domain [{dom.lower}, {dom.upper}]")
 

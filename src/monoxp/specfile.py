@@ -17,7 +17,7 @@ from .classifiers import (
     LinearThresholdClassifier,
     MonotoneDnfClassifier,
 )
-from .domain import ClassOrder, FeatureDomain, FeatureSpace
+from .domain import ClassOrder, FeatureDomain, FeatureSpace, _is_int
 
 SCHEMA_VERSION = 1
 
@@ -102,7 +102,7 @@ def _construct(kind: str, spec: dict) -> ClassifierOracle:
 
     if kind == "appendix-cnf":
         variables = spec.get("variables")
-        _require(isinstance(variables, int) and variables >= 1, "'variables' must be a positive integer")
+        _require(_is_int(variables) and variables >= 1, "'variables' must be a positive integer")
         _require(isinstance(spec.get("clauses"), list), "'clauses' must be a list of literal lists")
         classes = _parse_classes(spec.get("classes", ["0", "1"]))
         if "features" in spec:

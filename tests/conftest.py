@@ -8,6 +8,7 @@ two-call corner shortcut used by the library.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import Optional
 
 import pytest
@@ -162,6 +163,28 @@ def reference_solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[
         return None
 
     return search({})
+
+
+def reference_linear_label(clf, point):
+    """`LinearThresholdClassifier.classify` as it was before it scored in one
+    `map` pass, kept as the reference for its labels."""
+    clf.space.validate_point(point)
+    score = sum(w * x for w, x in zip(clf.weights, point.values))
+    return clf.classes.labels[bisect_right(clf.thresholds, score)]
+
+
+def reference_appendix_label(clf, clauses, point):
+    """`AppendixCnfClassifier.classify` as it was before it compiled its
+    clauses to masks, kept as the reference for its labels. `clauses` are the
+    source clauses the classifier was built from."""
+    k = clf.num_source_vars
+    # positive rewrite: -x_i becomes x_{i+k}
+    positive_clauses = tuple(frozenset(l if l > 0 else -l + k for l in clause) for clause in clauses)
+    clf.space.validate_point(point)
+    values = point.values
+    paired = any(values[i - 1] == 1 and values[i + k - 1] == 1 for i in range(1, k + 1))
+    rewritten = all(any(values[j - 1] == 1 for j in clause) for clause in positive_clauses)
+    return clf.classes.labels[1 if (paired or rewritten) else 0]
 
 
 def assert_subset_minimal(expl, v, oracle):

@@ -1,10 +1,19 @@
+import itertools
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import boolean_space, grid_points, point_leq, random_monotone_dnf
+from conftest import (
+    boolean_space,
+    grid_points,
+    point_leq,
+    random_monotone_dnf,
+    reference_appendix_label,
+    reference_linear_label,
+)
 
 from monoxp import (
     AppendixCnfClassifier,
@@ -74,6 +83,34 @@ class TestLinearThreshold:
     def test_weight_count_checked(self):
         with pytest.raises(ValueError):
             LinearThresholdClassifier(self.space(), [1], [2], ClassOrder(("a", "b")))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 9), st.floats(0, 9)),
+                st.sampled_from(["integer", "real"]),
+                st.floats(0, 1),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(st.one_of(st.integers(-20, 80), st.floats(-20, 80)), max_size=4, unique=True),
+        st.booleans(),
+    )
+    def test_labels_match_the_reference(self, features, drawn, on_threshold):
+        # (weight, domain kind, position of the coordinate in [0, 5])
+        space = FeatureSpace(tuple(FeatureDomain(kind, 0, 5) for _, kind, _ in features))
+        weights = [w for w, _, _ in features]
+        values = tuple(round(5 * t) if kind == "integer" else 5 * t for _, kind, t in features)
+        point = Point(values)
+        thresholds = set(drawn)
+        if on_threshold:
+            # the score itself is a threshold, so the label is the one above it
+            thresholds.add(sum(w * x for w, x in zip(weights, values)))
+        thresholds = sorted(thresholds)
+        classes = ClassOrder(tuple(f"c{r}" for r in range(len(thresholds) + 1)))
+        clf = LinearThresholdClassifier(space, weights, thresholds, classes)
+        assert clf.classify(point) == reference_linear_label(clf, point)
 
 
 def _locally_monotone(clf):
@@ -164,6 +201,31 @@ class TestAppendixCnf:
         except ValueError:
             return  # drew a trivially satisfiable CNF
         assert _locally_monotone(clf)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_labels_match_the_reference_on_every_point(self, k):
+        rng = random.Random(k)
+        encodings = ((0, 1), (0.0, 1.0), (False, True))
+        width = min(3, k)
+        for _ in range(4):
+            while True:
+                clauses = [
+                    [x if rng.random() < 0.5 else -x for x in rng.sample(range(1, k + 1), width)]
+                    for _ in range(round(4.3 * k))
+                ]
+                try:
+                    clf = AppendixCnfClassifier(boolean_space(2 * k), clauses)
+                    break
+                except ValueError:
+                    continue  # drew a trivially satisfiable CNF
+            labels = set()
+            for bits in itertools.product((0, 1), repeat=2 * k):
+                mixed = Point(tuple(rng.choice(encodings)[b] for b in bits))
+                for point in (*(Point(tuple(e[b] for b in bits)) for e in encodings), mixed):
+                    label = clf.classify(point)
+                    assert label == reference_appendix_label(clf, clauses, point), (clauses, point)
+                labels.add(label)
+            assert labels == {"0", "1"}
 
 
 class TestCountingOracle:

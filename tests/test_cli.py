@@ -519,9 +519,18 @@ class TestSpecLoading:
             ({**MAJORITY_SPEC, "terms": [[1.0]]}, "1,1,1"),
             ({"schema": 1, "kind": "appendix-cnf", "variables": 1, "clauses": [1, 2]}, "1,1"),
             ({**CONSTANT_SPEC, "features": [{"kind": "integer", "lower": "0", "upper": 1}] * 2}, "0,0"),
+            # JSON true/false are no numbers, although Python's bool is an int
+            ({"schema": 1, "kind": "appendix-cnf", "variables": True, "clauses": [[1], [-1]]}, "1,1"),
+            ({**CONSTANT_SPEC, "features": [{"kind": "integer", "lower": False, "upper": 1}] * 2}, "0,0"),
+            ({**CONSTANT_SPEC, "features": [{"kind": "boolean", "lower": 0, "upper": True}] * 2}, "0,0"),
+            ({**CONSTANT_SPEC, "weights": [True, 1]}, "0,0"),
+            ({**CONSTANT_SPEC, "classes": ["lo", "hi"], "thresholds": [True]}, "0,0"),
+            ({**MAJORITY_SPEC, "terms": [[True]]}, "1,1,1"),
+            ({"schema": 1, "kind": "appendix-cnf", "variables": 2, "clauses": [[True], [-1, 2]]}, "1,1,1,1"),
         ],
         ids=["grade-classes", "linear-weights", "linear-thresholds", "dnf-term-int", "dnf-term-str", "dnf-term-float",
-             "cnf-clauses", "bound-str"],
+             "cnf-clauses", "bound-str", "cnf-variables-bool", "bound-lower-bool", "bound-upper-bool",
+             "linear-weights-bool", "linear-thresholds-bool", "dnf-term-bool", "cnf-literal-bool"],
     )
     def test_malformed_values_are_input_errors(self, tmp_path, capsys, spec, instance):
         path = write_spec(tmp_path, spec)

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 import random
 
@@ -75,6 +76,85 @@ class TestSpaceAndPoints:
             space.validate_features([0])
         with pytest.raises(ValueError):
             space.validate_features([4])
+
+
+def _reference_validate(space, point):
+    """The per-coordinate check: the arity, then FeatureDomain.contains on
+    each coordinate in turn."""
+    if len(point.values) != space.arity:
+        raise ValueError(f"point arity {len(point.values)} differs from space arity {space.arity}")
+    for i, (value, dom) in enumerate(zip(point.values, space.domains), start=1):
+        if not dom.contains(value):
+            raise ValueError(f"coordinate {i} value {value!r} outside {dom.kind} domain [{dom.lower}, {dom.upper}]")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_BOUND = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(float))
+_DOMAINS = st.one_of(
+    st.just(FeatureDomain("boolean", 0, 1)),
+    st.just(FeatureDomain("boolean", 0.0, 1.0)),
+    st.tuples(_BOUND, st.integers(0, 3)).map(lambda t: FeatureDomain("integer", t[0], t[0] + t[1])),
+    st.tuples(_BOUND, st.floats(0, 4)).map(lambda t: FeatureDomain("real", t[0], t[0] + t[1])),
+)
+
+
+def _inside(dom):
+    """A value of `dom`, as an int, a float or (boolean) a bool."""
+    if dom.kind == "real":
+        return st.one_of(st.floats(dom.lower, dom.upper), st.sampled_from([dom.lower, dom.upper]))
+    values = st.integers(int(dom.lower), int(dom.upper))
+    return st.one_of(values, values.map(float), *([st.booleans()] if dom.kind == "boolean" else []))
+
+
+def _outside(dom):
+    """A value around `dom` that may break it: just outside, non-integral,
+    NaN, infinite, or of no number type."""
+    return st.one_of(
+        st.sampled_from([dom.lower - 1, dom.upper + 1, dom.lower + 0.5, dom.upper - 0.5]),
+        st.floats(-5, 8),
+        st.sampled_from([math.nan, math.inf, -math.inf, "1", None]),
+    )
+
+
+class TestOnePassValidation:
+    """validate_point checks a point in compiled passes, one per condition;
+    these pin it to the per-coordinate reference, message for message."""
+
+    @given(st.lists(_DOMAINS, min_size=1, max_size=5), st.sampled_from([0, 0, 0, 0, -1, 1]), st.data())
+    def test_same_decision_and_message_as_the_reference(self, domains, arity_change, data):
+        space = FeatureSpace(tuple(domains))
+        cycle = (domains * 2)[: max(1, space.arity + arity_change)]
+        values = [data.draw(_inside(dom)) for dom in cycle]
+        # up to two coordinates replaced, so that the first bad one must be named
+        for i in data.draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+            values[i] = data.draw(_outside(cycle[i]))
+        point = Point(tuple(values))
+        assert _outcome(space.validate_point, point) == _outcome(_reference_validate, space, point)
+
+    @pytest.mark.parametrize("values", [(6, "1"), (0.5, None), (math.nan, "1"), ("1", 6)])
+    def test_first_bad_coordinate_wins_over_a_later_type_error(self, values):
+        # the compiled passes can stop on a later coordinate's TypeError; the
+        # error must still be the per-coordinate loop's, for the first bad one
+        space = FeatureSpace((FeatureDomain("integer", 0, 5), FeatureDomain("integer", 0, 5)))
+        expected = _outcome(_reference_validate, space, Point(values))
+        assert expected is not None and _outcome(space.validate_point, Point(values)) == expected
+
+    @pytest.mark.parametrize("kinds", [("real",) * 3, ("integer",) * 3, ("boolean", "integer", "real")])
+    def test_space_copies_after_validation(self, kinds):
+        space = FeatureSpace(tuple(FeatureDomain(kind, 0, 1) for kind in kinds), ("a", "b", "c"))
+        space.validate_point(Point((1, 0, 1)))
+        for twin in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space), FeatureSpace(space.domains, ("a", "b", "c"))):
+            assert twin == space and hash(twin) == hash(space) and repr(twin) == repr(space)
+            twin.validate_point(Point((1, 0, 1)))
+            with pytest.raises(ValueError, match="coordinate 2 value 2 outside"):
+                twin.validate_point(Point((1, 2, 1)))
 
 
 class TestClassOrder:
