@@ -16,6 +16,7 @@ import subprocess
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from .domain import ClassOrder, FeatureDomain, FeatureSpace, Number, Point, _is_int, _is_number
@@ -185,9 +186,9 @@ class AppendixCnfClassifier(ClassifierOracle):
 
     def classify(self, point: Point) -> str:
         self.space.validate_point(point)
-        # A validated point is 0/1 per feature: one pass turns it into the
-        # mask of its ones (exact, also for 0.0/1.0 and False/True).
-        ones = int(sum(map(operator.mul, point.values, self._bits)))
+        # A validated point is 0/1 per feature: one pass picks the bits of its
+        # ones and sums them as ints, exact for any k and any 0/1 encoding.
+        ones = sum(compress(self._bits, point.values))
         # paired: bit i of the lower half and bit i of the upper half, x_i and its negation
         paired = ones & (ones >> self.num_source_vars)
         hit = paired or all(map(ones.__and__, self._clause_masks))

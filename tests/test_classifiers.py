@@ -205,27 +205,45 @@ class TestAppendixCnf:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_labels_match_the_reference_on_every_point(self, k):
         rng = random.Random(k)
-        encodings = ((0, 1), (0.0, 1.0), (False, True))
-        width = min(3, k)
         for _ in range(4):
-            while True:
-                clauses = [
-                    [x if rng.random() < 0.5 else -x for x in rng.sample(range(1, k + 1), width)]
-                    for _ in range(round(4.3 * k))
-                ]
-                try:
-                    clf = AppendixCnfClassifier(boolean_space(2 * k), clauses)
-                    break
-                except ValueError:
-                    continue  # drew a trivially satisfiable CNF
-            labels = set()
-            for bits in itertools.product((0, 1), repeat=2 * k):
-                mixed = Point(tuple(rng.choice(encodings)[b] for b in bits))
-                for point in (*(Point(tuple(e[b] for b in bits)) for e in encodings), mixed):
-                    label = clf.classify(point)
-                    assert label == reference_appendix_label(clf, clauses, point), (clauses, point)
-                labels.add(label)
-            assert labels == {"0", "1"}
+            _assert_appendix_matches_reference(
+                rng, k, min(3, k), round(4.3 * k), itertools.product((0, 1), repeat=2 * k)
+            )
+
+    @pytest.mark.parametrize("k", (27, 30, 40))
+    def test_labels_match_the_reference_past_float_precision(self, k):
+        # 2k features: a mask of the point's ones has more bits than a double
+        # holds, so it must be built in integers for every encoding.
+        rng = random.Random(k)
+        for _ in range(3):
+            densities = (rng.choice((0.05, 0.15, 0.5, 0.9)) for _ in range(200))
+            points = ([int(rng.random() < d) for _ in range(2 * k)] for d in densities)
+            _assert_appendix_matches_reference(rng, k, 3, k, points)
+
+
+def _assert_appendix_matches_reference(rng, k, width, count, bit_points):
+    """Draw a seeded appendix 3-CNF and compare its labels with the reference
+    on each 0/1 point, given as 0/1, 0.0/1.0, False/True and a per-coordinate
+    mix of the three; both labels must occur."""
+    encodings = ((0, 1), (0.0, 1.0), (False, True))
+    while True:
+        clauses = [
+            [x if rng.random() < 0.5 else -x for x in rng.sample(range(1, k + 1), width)]
+            for _ in range(count)
+        ]
+        try:
+            clf = AppendixCnfClassifier(boolean_space(2 * k), clauses)
+            break
+        except ValueError:
+            continue  # drew a trivially satisfiable CNF
+    labels = set()
+    for bits in bit_points:
+        mixed = Point(tuple(rng.choice(encodings)[b] for b in bits))
+        for point in (*(Point(tuple(e[b] for b in bits)) for e in encodings), mixed):
+            label = clf.classify(point)
+            assert label == reference_appendix_label(clf, clauses, point), (clauses, point)
+        labels.add(label)
+    assert labels == {"0", "1"}
 
 
 class TestCountingOracle:
