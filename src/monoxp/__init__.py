@@ -28,9 +28,6 @@ from .domain import (
     FeatureDomain,
     FeatureSpace,
     Point,
-    corner_points,
-    verify_axp,
-    verify_cxp,
 )
 from .enumeration import (
     DualityCounterexample,
@@ -40,7 +37,7 @@ from .enumeration import (
     check_duality,
     enumerate_explanations,
 )
-from .explainer import NoCxpExists, SeedBreaksInvariant, find_axp, find_cxp
+from .explainer import NoCxpExists, SeedBreaksInvariant, corner_points, find_axp, find_cxp, verify_axp, verify_cxp
 from .satcore import CnfFormula, solve, to_dimacs
 from .specfile import SpecError, build_oracle
 

@@ -32,10 +32,6 @@ class ClassifierOracle(abc.ABC):
     space: FeatureSpace
     classes: ClassOrder
 
-    @property
-    def arity(self) -> int:
-        return self.space.arity
-
     @abc.abstractmethod
     def classify(self, point: Point) -> str:
         """Label for a point; identical points must yield identical labels."""
@@ -115,11 +111,18 @@ class LinearThresholdClassifier(ClassifierOracle):
 _BINARY = ClassOrder(("0", "1"))
 
 
-def _check_boolean_binary(space: FeatureSpace, classes: ClassOrder) -> None:
+def _boolean_bits(space: FeatureSpace, classes: ClassOrder) -> tuple[int, ...]:
+    """Check a boolean model's space and classes; bit j stands for feature j+1."""
     if any(d.kind != "boolean" for d in space.domains):
         raise ValueError("this classifier's features must all be boolean")
     if len(classes.labels) != 2:
         raise ValueError(f"this classifier has exactly two classes, not {len(classes.labels)}")
+    return tuple(1 << j for j in range(space.arity))
+
+
+def _ones_mask(bits: tuple[int, ...], point: Point) -> int:
+    """The bitmask of a validated 0/1 point's ones, summed as ints: exact at any arity."""
+    return sum(compress(bits, point.values))
 
 
 class MonotoneDnfClassifier(ClassifierOracle):
@@ -130,18 +133,20 @@ class MonotoneDnfClassifier(ClassifierOracle):
     """
 
     def __init__(self, space: FeatureSpace, terms: Sequence[Sequence[int]], classes: ClassOrder = _BINARY) -> None:
-        _check_boolean_binary(space, classes)
+        self._bits = _boolean_bits(space, classes)
         self.space = space
         self.classes = classes
         for term in terms:
             if any(not _is_int(i) or not 1 <= i <= space.arity for i in term):
                 raise ValueError(f"term {list(term)} is not a list of features 1..{space.arity}")
         self.terms = tuple(frozenset(t) for t in terms)
+        self._term_masks = tuple(sum(self._bits[i - 1] for i in term) for term in self.terms)
 
     def classify(self, point: Point) -> str:
         self.space.validate_point(point)
-        values = point.values
-        hit = any(all(values[i - 1] == 1 for i in term) for term in self.terms)
+        # a term is all ones when none of its bits is off
+        off = ~_ones_mask(self._bits, point)
+        hit = not all(map(off.__and__, self._term_masks))
         return self.classes.labels[1 if hit else 0]
 
 
@@ -158,7 +163,7 @@ class AppendixCnfClassifier(ClassifierOracle):
     """
 
     def __init__(self, space: FeatureSpace, clauses: Sequence[Sequence[int]], classes: ClassOrder = _BINARY) -> None:
-        _check_boolean_binary(space, classes)
+        self._bits = _boolean_bits(space, classes)
         if space.arity % 2:
             raise ValueError(f"needs an even number of features, not {space.arity}")
         if not clauses:
@@ -175,9 +180,8 @@ class AppendixCnfClassifier(ClassifierOracle):
             name = f"-x{-lit}" if lit < 0 else f"x{lit}"
             raise ValueError(f"literal {name} occurs in every clause, so the CNF is trivially satisfiable")
         self.num_source_vars = k
-        # Bit j stands for feature j+1; the positive rewrite maps -x_i to
-        # feature i+k, so a clause is a mask over features 1..2k.
-        self._bits = tuple(1 << j for j in range(2 * k))
+        # The positive rewrite maps -x_i to feature i+k, so a clause is a
+        # mask over features 1..2k.
         self._clause_masks = tuple(
             sum(1 << (l - 1 if l > 0 else k - l - 1) for l in clause) for clause in cleaned
         )
@@ -186,9 +190,7 @@ class AppendixCnfClassifier(ClassifierOracle):
 
     def classify(self, point: Point) -> str:
         self.space.validate_point(point)
-        # A validated point is 0/1 per feature: one pass picks the bits of its
-        # ones and sums them as ints, exact for any k and any 0/1 encoding.
-        ones = sum(compress(self._bits, point.values))
+        ones = _ones_mask(self._bits, point)
         # paired: bit i of the lower half and bit i of the upper half, x_i and its negation
         paired = ones & (ones >> self.num_source_vars)
         hit = paired or all(map(ones.__and__, self._clause_masks))

@@ -21,9 +21,9 @@ from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 from .classifiers import ClassifierOracle, CountingOracle, OracleError, probe_monotonicity
-from .domain import Explanation, Point, verify_axp, verify_cxp
+from .domain import Explanation, Point
 from .enumeration import EnumerationReport, InternalConsistencyError, enumerate_explanations
-from .explainer import NoCxpExists, find_axp, find_cxp
+from .explainer import NoCxpExists, find_axp, find_cxp, verify_axp, verify_cxp
 from .satcore import to_dimacs
 from .specfile import SCHEMA_VERSION, SpecError, build_oracle, load_spec
 

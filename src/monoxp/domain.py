@@ -1,7 +1,8 @@
-"""Feature spaces, points, class orders, and the semantic explanation checks.
+"""The value types: feature domains and spaces, points, class orders, explanations.
 
 Features are indexed 1..N everywhere (API, file formats, wire protocol).
 All types here are immutable values and safe to share across threads.
+Boxes and their corner check, which ask an oracle, live in `explainer`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ def _is_number(x) -> bool:
 def _is_int(x) -> bool:
     """An int, but not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_ints(indices: Iterable, what: str) -> None:
+    """Feature indices are ints: a float or a bool would pass a range check."""
+    bad = [i for i in indices if not _is_int(i)]
+    if bad:
+        raise ValueError(f"{what} must be integers, got {bad[0]!r}")
 
 
 class ExplanationKind(str, enum.Enum):
@@ -113,12 +121,6 @@ class FeatureSpace:
             return self.feature_names[i - 1]
         return f"f{i}"
 
-    def lower_point(self) -> "Point":
-        return Point(self._lowers)
-
-    def upper_point(self) -> "Point":
-        return Point(self._uppers)
-
     def validate_point(self, point: "Point") -> None:
         values = point.values
         if len(values) != self.arity:
@@ -140,6 +142,7 @@ class FeatureSpace:
 
     def validate_features(self, features: Iterable[int]) -> frozenset[int]:
         out = frozenset(features)
+        _require_ints(out, "feature indices")
         bad = [i for i in out if not (1 <= i <= self.arity)]
         if bad:
             raise ValueError(f"feature indices out of range 1..{self.arity}: {sorted(bad)}")
@@ -148,6 +151,7 @@ class FeatureSpace:
     def validate_order(self, order: Sequence[int]) -> tuple[int, ...]:
         """A feature scan order, which must be a permutation of 1..N."""
         out = tuple(order)
+        _require_ints(out, "order entries")
         if sorted(out) != list(self.features):
             raise ValueError(f"order must be a permutation of 1..{self.arity}")
         return out
@@ -219,42 +223,3 @@ class Explanation:
 
     def sorted_features(self) -> list[int]:
         return sorted(self.features)
-
-
-def corner_points(space: FeatureSpace, v: Point, fixed: Iterable[int]) -> tuple[Point, Point]:
-    """Lower/upper corner of the box where `fixed` features keep v's values.
-
-    Free features range over their whole domain, so the lower corner takes
-    the domain minima and the upper corner the maxima.
-    """
-    space.validate_point(v)
-    fixed_set = space.validate_features(fixed)
-    low = list(v.values)
-    up = list(v.values)
-    for i in space.features:
-        if i not in fixed_set:
-            low[i - 1] = space.domain(i).lower
-            up[i - 1] = space.domain(i).upper
-    return Point(tuple(low)), Point(tuple(up))
-
-
-def verify_axp(features: Iterable[int], v: Point, oracle) -> bool:
-    """Does fixing `features` to v's values force the prediction?
-
-    For a monotonic oracle this is decided with two calls, at the corners of
-    the box spanned by the free features. Minimality is not checked.
-    """
-    low, up = corner_points(oracle.space, v, features)
-    return oracle.classify(low) == oracle.classify(up)
-
-
-def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
-    """Does freeing `features` (rest pinned to v) admit a different prediction?
-
-    Two oracle calls, at the corners of the box spanned by the freed
-    features. Minimality is not checked.
-    """
-    freed = oracle.space.validate_features(features)
-    fixed = frozenset(oracle.space.features) - freed
-    low, up = corner_points(oracle.space, v, fixed)
-    return oracle.classify(low) != oracle.classify(up)

@@ -25,8 +25,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, CountingOracle
-from .domain import Explanation, ExplanationKind, Point, corner_points
-from .explainer import SeedBreaksInvariant, find_axp, find_cxp
+from .domain import Explanation, ExplanationKind, Point
+from .explainer import SeedBreaksInvariant, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
 
 
@@ -101,9 +101,8 @@ def enumerate_explanations(
             report.complete = True
             break
         fixed = frozenset(i for i in space.features if model[i - 1] == 0)
-        low, up = corner_points(space, v, fixed)
         try:
-            if counting.classify(low) == counting.classify(up):
+            if verify_axp(fixed, v, counting):
                 # the fixed side forces the prediction: some AXp inside it
                 expl = find_axp(v, memo, seed=all_features - fixed, order=order)
                 report.axps.append(expl)
@@ -196,8 +195,7 @@ def brute_force_explanations(
     for size in range(n + 1):
         for combo in combinations(features, size):
             fixed = frozenset(combo)
-            low, up = corner_points(space, v, fixed)
-            sufficient[fixed] = oracle.classify(low) == oracle.classify(up)
+            sufficient[fixed] = verify_axp(fixed, v, oracle)
     axps = [
         s
         for s, ok in sufficient.items()

@@ -1,13 +1,15 @@
-"""Greedy computation of one abductive or one contrastive explanation.
+"""Boxes, their corner check, and the greedy computation of one abductive
+or one contrastive explanation.
 
-Both procedures are one scan over a box [low, up] in which every feature is
-either pinned to its value in v or free over its whole domain. An AXp scan
-starts from the box pinned to v and tries to free each feature; a CXp scan
-starts from the whole box and tries to pin each feature. A feature whose
-move changes whether the two corners get the same prediction is moved back
-and picked. Each scanned feature costs exactly two oracle calls, so a full
-run costs at most 2N+2 calls including the two that establish the starting
-invariant.
+A box pins each feature to its value in v or frees it over its whole
+domain. For a monotonic oracle the box forces the prediction exactly when
+its two corners get the same label; `_corners_agree` is the one place that
+classifies them, for `verify_axp`/`verify_cxp`, the scan and the
+enumeration loop. An AXp scan starts from the box pinned to v and tries to
+free each feature; a CXp scan starts from the whole box and tries to pin
+each feature. Each scanned feature costs exactly two oracle calls, so a
+full run costs at most 2N+2 calls including the two that establish the
+starting invariant.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle
-from .domain import Explanation, ExplanationKind, Point, corner_points
+from .domain import Explanation, ExplanationKind, FeatureSpace, Point
 
 
 class SeedBreaksInvariant(RuntimeError):
@@ -34,40 +36,85 @@ class NoCxpExists(SeedBreaksInvariant):
     """
 
 
-def _prepare(v: Point, oracle: ClassifierOracle, seed: Iterable[int], order: Optional[Sequence[int]]):
+def corner_points(space: FeatureSpace, v: Point, fixed: Iterable[int]) -> tuple[Point, Point]:
+    """Lower/upper corner of the box where `fixed` features keep v's values.
+
+    Free features range over their whole domain, so the lower corner takes
+    the domain minima and the upper corner the maxima.
+    """
+    space.validate_point(v)
+    return _box(space, v, space.validate_features(fixed))
+
+
+def _box(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[Point, Point]:
+    """corner_points for a point and a feature set already validated."""
+    low, up = list(v.values), list(v.values)
+    for j, dom in enumerate(space.domains):
+        if j + 1 not in fixed:
+            low[j], up[j] = dom.lower, dom.upper
+    return Point(tuple(low)), Point(tuple(up))
+
+
+def _corners_agree(oracle: ClassifierOracle, low: Point, up: Point) -> bool:
+    """Classify a box's lower corner, then its upper corner: do the labels agree?"""
+    return oracle.classify(low) == oracle.classify(up)
+
+
+def verify_axp(features: Iterable[int], v: Point, oracle) -> bool:
+    """Does fixing `features` to v's values force the prediction?
+
+    For a monotonic oracle this is decided with two calls, at the corners of
+    the box spanned by the free features. Minimality is not checked.
+    """
+    return _corners_agree(oracle, *corner_points(oracle.space, v, features))
+
+
+def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
+    """Does freeing `features` (rest pinned to v) admit a different prediction?
+
+    Exactly when pinning the rest does not force it: two oracle calls, at
+    the corners of the box spanned by the freed features. Minimality is not
+    checked.
+    """
+    freed = oracle.space.validate_features(features)
+    return not verify_axp(frozenset(oracle.space.features) - freed, v, oracle)
+
+
+def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, order) -> Explanation:
+    """find_axp and find_cxp: validate, check the start box, scan toward the target box.
+
+    An AXp scan starts with only the seed free, where the corners must
+    agree, and frees features toward the whole box; a CXp scan starts with
+    only the seed pinned, where they must differ, and pins features to v.
+    A feature whose move changes whether the corners agree is moved back
+    and picked.
+    """
     space = oracle.space
     space.validate_point(v)
     seed_set = space.validate_features(seed)
     order_seq = tuple(space.features) if order is None else space.validate_order(order)
-    return space, seed_set, order_seq
-
-
-def _scan(
-    oracle: ClassifierOracle,
-    start: tuple[Point, Point],
-    target: tuple[Point, Point],
-    agree: bool,
-    seed: frozenset[int],
-    order: Sequence[int],
-) -> frozenset[int]:
-    """Move each non-seed feature, in `order`, from the start box to the target box.
-
-    `agree` says whether the start box's corners get the same prediction. A
-    feature whose move changes that is moved back and picked.
-    """
+    everything = frozenset(space.features)
+    agree = kind is ExplanationKind.AXP
+    start = _box(space, v, everything - seed_set if agree else seed_set)
+    if _corners_agree(oracle, *start) != agree:
+        if agree:
+            raise SeedBreaksInvariant(f"freeing seed {sorted(seed_set)} already changes the prediction")
+        if not seed_set:
+            raise NoCxpExists("the classifier is constant over the feature space box")
+        raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
+    target_low, target_up = (p.values for p in _box(space, v, frozenset() if agree else everything))
     low, up = list(start[0].values), list(start[1].values)
-    target_low, target_up = target[0].values, target[1].values
     picked = set()
-    for i in order:
-        if i in seed:
+    for i in order_seq:
+        if i in seed_set:
             continue
         j = i - 1
         was = low[j], up[j]
         low[j], up[j] = target_low[j], target_up[j]
-        if (oracle.classify(Point(tuple(low))) == oracle.classify(Point(tuple(up)))) != agree:
+        if _corners_agree(oracle, Point(tuple(low)), Point(tuple(up))) != agree:
             low[j], up[j] = was
             picked.add(i)
-    return frozenset(picked)
+    return Explanation(kind, frozenset(picked))
 
 
 def find_axp(
@@ -84,12 +131,7 @@ def find_axp(
     The result is disjoint from the seed. Raises SeedBreaksInvariant if the
     corner predictions already diverge after freeing the seed alone.
     """
-    space, seed_set, order_seq = _prepare(v, oracle, seed, order)
-    low, up = corner_points(space, v, frozenset(space.features) - seed_set)
-    if oracle.classify(low) != oracle.classify(up):
-        raise SeedBreaksInvariant(f"freeing seed {sorted(seed_set)} already changes the prediction")
-    full_box = (space.lower_point(), space.upper_point())
-    return Explanation(ExplanationKind.AXP, _scan(oracle, (low, up), full_box, True, seed_set, order_seq))
+    return _explain(ExplanationKind.AXP, v, oracle, seed, order)
 
 
 def find_cxp(
@@ -108,10 +150,4 @@ def find_cxp(
     and SeedBreaksInvariant when fixing a nonempty seed already equalizes
     the corners.
     """
-    space, seed_set, order_seq = _prepare(v, oracle, seed, order)
-    low, up = corner_points(space, v, seed_set)
-    if oracle.classify(low) == oracle.classify(up):
-        if not seed_set:
-            raise NoCxpExists("the classifier is constant over the feature space box")
-        raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
-    return Explanation(ExplanationKind.CXP, _scan(oracle, (low, up), (v, v), False, seed_set, order_seq))
+    return _explain(ExplanationKind.CXP, v, oracle, seed, order)

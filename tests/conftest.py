@@ -173,6 +173,15 @@ def reference_linear_label(clf, point):
     return clf.classes.labels[bisect_right(clf.thresholds, score)]
 
 
+def reference_dnf_label(clf, point):
+    """`MonotoneDnfClassifier.classify` as it was before it compiled its terms
+    to masks, kept as the reference for its labels."""
+    clf.space.validate_point(point)
+    values = point.values
+    hit = any(all(values[i - 1] == 1 for i in term) for term in clf.terms)
+    return clf.classes.labels[1 if hit else 0]
+
+
 def reference_appendix_label(clf, clauses, point):
     """`AppendixCnfClassifier.classify` as it was before it compiled its
     clauses to masks, kept as the reference for its labels. `clauses` are the

@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from conftest import (
     point_leq,
     random_monotone_dnf,
     reference_appendix_label,
+    reference_dnf_label,
     reference_linear_label,
 )
 
@@ -149,6 +151,25 @@ class TestMonotoneDnf:
         clf = random_monotone_dnf(n, rng.randint(1, 2 * n), rng)
         assert _locally_monotone(clf)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_labels_match_the_reference_on_every_point(self, n):
+        rng = random.Random(n)
+        fixed = ([], [[]], [[n], []], [list(range(1, n + 1))])
+        for terms in (*fixed, *(_random_terms(rng, n, 1) for _ in range(4))):
+            clf = MonotoneDnfClassifier(boolean_space(n), terms)
+            _assert_labels_match(clf, partial(reference_dnf_label, clf), itertools.product((0, 1), repeat=n), rng)
+
+    @pytest.mark.parametrize("n", (54, 64, 100))
+    def test_labels_match_the_reference_past_float_precision(self, n):
+        # more features than a double has bits: a mask summed in floats would drop some
+        rng = random.Random(n)
+        for _ in range(3):
+            clf = MonotoneDnfClassifier(boolean_space(n), _random_terms(rng, n, 3))
+            densities = (rng.choice((0.05, 0.5, 0.8, 0.95)) for _ in range(200))
+            points = ([int(rng.random() < d) for _ in range(n)] for d in densities)
+            labels = _assert_labels_match(clf, partial(reference_dnf_label, clf), points, rng)
+            assert labels == {"0", "1"}
+
     def test_generator_keeps_an_antichain(self):
         rng = random.Random(42)
         for _ in range(20):
@@ -221,11 +242,29 @@ class TestAppendixCnf:
             _assert_appendix_matches_reference(rng, k, 3, k, points)
 
 
+def _random_terms(rng, n, min_size):
+    """Up to 6 terms of min_size to 8 features of 1..n, overlaps and repeats allowed."""
+    return [rng.sample(range(1, n + 1), rng.randint(min_size, min(n, 8))) for _ in range(rng.randint(1, 6))]
+
+
+def _assert_labels_match(clf, reference, bit_points, rng):
+    """Compare clf's labels with `reference` on each 0/1 point, given as 0/1,
+    0.0/1.0, False/True and a per-coordinate mix of the three; return the
+    set of labels seen."""
+    encodings = ((0, 1), (0.0, 1.0), (False, True))
+    labels = set()
+    for bits in bit_points:
+        mixed = Point(tuple(rng.choice(encodings)[b] for b in bits))
+        for point in (*(Point(tuple(e[b] for b in bits)) for e in encodings), mixed):
+            label = clf.classify(point)
+            assert label == reference(point), point
+        labels.add(label)
+    return labels
+
+
 def _assert_appendix_matches_reference(rng, k, width, count, bit_points):
     """Draw a seeded appendix 3-CNF and compare its labels with the reference
-    on each 0/1 point, given as 0/1, 0.0/1.0, False/True and a per-coordinate
-    mix of the three; both labels must occur."""
-    encodings = ((0, 1), (0.0, 1.0), (False, True))
+    on each 0/1 point in every encoding; both labels must occur."""
     while True:
         clauses = [
             [x if rng.random() < 0.5 else -x for x in rng.sample(range(1, k + 1), width)]
@@ -236,14 +275,8 @@ def _assert_appendix_matches_reference(rng, k, width, count, bit_points):
             break
         except ValueError:
             continue  # drew a trivially satisfiable CNF
-    labels = set()
-    for bits in bit_points:
-        mixed = Point(tuple(rng.choice(encodings)[b] for b in bits))
-        for point in (*(Point(tuple(e[b] for b in bits)) for e in encodings), mixed):
-            label = clf.classify(point)
-            assert label == reference_appendix_label(clf, clauses, point), (clauses, point)
-        labels.add(label)
-    assert labels == {"0", "1"}
+    labels = _assert_labels_match(clf, partial(reference_appendix_label, clf, clauses), bit_points, rng)
+    assert labels == {"0", "1"}, clauses
 
 
 class TestCountingOracle:

@@ -76,6 +76,10 @@ class TestSpaceAndPoints:
             space.validate_features([0])
         with pytest.raises(ValueError):
             space.validate_features([4])
+        # a float or a bool passes a range check, but is no index
+        for bad in (1.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                space.validate_features([2, bad])
 
 
 def _reference_validate(space, point):

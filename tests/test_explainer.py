@@ -13,6 +13,7 @@ from monoxp import (
     Point,
     SeedBreaksInvariant,
     brute_force_explanations,
+    enumerate_explanations,
     find_axp,
     find_cxp,
     verify_axp,
@@ -75,6 +76,41 @@ def test_grade_scan_queries(grade, find, seed, expected, queries):
     assert oracle.points == queries
 
 
+# Every point that reaches the oracle when the grade example is enumerated
+# with order 1,2,3,4, per SAT model: the loop's two corners, asked past the
+# run's memo, then the explainer's queries the memo has not answered before.
+GRADE_ENUMERATION_QUERIES = [
+    (1, [
+        # all free: the corners differ, CXp {2}
+        (0, 0, 0, 0), (10, 10, 10, 10),
+        (0, 0, 0, 0), (10, 10, 10, 10), (10, 0, 0, 0), (10, 10, 0, 0), (10, 0, 5, 0), (10, 10, 5, 10), (10, 10, 5, 0),
+        # feature 2 fixed: CXp {1}
+        (0, 10, 0, 0), (10, 10, 10, 10),
+        (0, 10, 0, 0), (0, 10, 5, 0),
+        # features 1 and 2 fixed: the corners agree, AXp {1, 2}, all from the memo
+        (10, 10, 0, 0), (10, 10, 10, 10),
+    ]),
+    (0, [
+        # all fixed: the corners agree, AXp {1, 2}
+        (10, 10, 5, 0), (10, 10, 5, 0),
+        (10, 10, 5, 0), (0, 10, 5, 0), (10, 0, 5, 0), (10, 10, 0, 0), (10, 10, 10, 0), (10, 10, 10, 10),
+        # feature 2 free: CXp {2}, all from the memo
+        (10, 0, 5, 0), (10, 10, 5, 0),
+        # feature 1 free: CXp {1}, all from the memo
+        (0, 10, 5, 0), (10, 10, 5, 0),
+    ]),
+]
+
+
+@pytest.mark.parametrize("polarity,queries", GRADE_ENUMERATION_QUERIES, ids=["polarity-1", "polarity-0"])
+def test_grade_enumeration_queries(grade, polarity, queries):
+    oracle = RecordingOracle(grade)
+    report = enumerate_explanations(Point((10, 10, 5, 0)), oracle, order=(1, 2, 3, 4), default_polarity=polarity)
+    assert report.axp_sets() == {frozenset({1, 2})}
+    assert report.cxp_sets() == {frozenset({1}), frozenset({2})}
+    assert oracle.points == queries
+
+
 class TestFindAxp:
     def test_grade_running_example(self, grade):
         expl = find_axp(Point((10, 10, 5, 0)), grade, order=(1, 2, 3, 4))
@@ -106,6 +142,9 @@ class TestFindAxp:
             find_axp(Point((10, 10, 5, 0)), grade, order=(1, 2))
         with pytest.raises(ValueError):
             find_axp(Point((10, 10, 5, 0)), grade, order=(1, 2, 3, 3))
+        for bad in (1.0, True, "1"):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                find_axp(Point((10, 10, 5, 0)), grade, order=(bad, 2, 3, 4))
 
     def test_call_count_is_exactly_two_per_feature_plus_two(self, grade):
         counting = CountingOracle(grade)
