@@ -131,6 +131,7 @@ def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle,
 
 def _report_counts(report: EnumerationReport) -> dict:
     return {
+        "time_sat": report.sat_seconds,
         "axp_count": len(report.axps),
         "cxp_count": len(report.cxps),
         "sat_calls": report.sat_calls,

@@ -216,7 +216,7 @@ class Explanation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", frozenset(self.features))
-        if any(not isinstance(i, int) or i < 1 for i in self.features):
+        if any(not _is_int(i) or i < 1 for i in self.features):
             raise ValueError("explanation features must be positive integers")
         if self.kind is ExplanationKind.CXP and not self.features:
             raise ValueError("a contrastive explanation cannot be empty")

@@ -53,6 +53,7 @@ class EnumerationReport:
     cache_hits: int = 0
     elapsed: float = 0.0
     classify_seconds: float = 0.0
+    sat_seconds: float = 0.0
     complete: bool = False
     formula: Optional[CnfFormula] = None
 
@@ -79,7 +80,9 @@ def enumerate_explanations(
     or `budget` (wall-clock seconds) cut the run short, yielding a prefix of
     a complete enumeration flagged complete=False. `oracle_calls` counts
     the calls that reached the oracle, `cache_hits` the explainer's queries
-    the run's memo answered instead.
+    the run's memo answered instead. `classify_seconds` is the wall time
+    spent in the oracle's calls, `sat_seconds` the wall time spent in the
+    loop's satisfiability calls.
     """
     counting = CountingOracle(oracle)
     memo = CountingOracle(counting, cache=True)
@@ -95,7 +98,9 @@ def enumerate_explanations(
             break
         if budget is not None and time.perf_counter() - start > budget:
             break
+        sat_start = time.perf_counter()
         model = solve(formula, default_polarity=default_polarity)
+        report.sat_seconds += time.perf_counter() - sat_start
         report.sat_calls += 1
         if model is None:
             report.complete = True

@@ -4,14 +4,17 @@ Formulas here stay small (one variable per feature, one clause per reported
 explanation), so the solver is a deterministic backtracking search with unit
 propagation rather than a tuned CDCL engine.
 
-`CnfFormula.add_clause` compiles each clause once into two bitmasks, one for
-its positive and one for its negative variables (bit i is variable i). The
-masks are the formula's only copy of its clauses: `CnfFormula.clauses` and
-`to_dimacs` read the literals back from them. `solve` keeps the partial
-assignment as two more masks, the variables set to 1 and those set to 0, so
-every clause test is a few integer operations. The enumeration loop solves
-one formula after each clause it adds, and the compiled masks are what those
-calls share.
+The formula is stored by column: for each variable, one int mask of the
+clauses where it occurs positively and one of those where it occurs
+negatively (bit j is clause j). The masks are the formula's only copy of its
+clauses: `CnfFormula.clauses` and `to_dimacs` read the literals back from
+them. `solve` keeps a partial assignment as two more masks, the variables
+set to 1 and those set to 0 (bit i is variable i). Unit propagation then
+tests every clause at once: one pass over the variables ORs up the clauses
+satisfied so far, the clauses with at least one free literal and those with
+at least two. An open clause with no free literal is a conflict; the open
+clauses with exactly one free literal force all of their literals together,
+and a variable forced both ways is a conflict too.
 
 Models are reproducible bit for bit because of the search order. Unit
 propagation only sets values that every model extending the current
@@ -24,106 +27,126 @@ only when no assignment extending it satisfies the formula. The model
 returned is therefore the first satisfying assignment in that order,
 whatever order propagation happens to set values in.
 
-Each call resumes where the last one with the same polarity stopped. A
-formula only ever gains clauses, so its set of models only shrinks: every
-model of the formula now was a model at the last call too, and none came
-before the model that call returned. `solve` records that model on the
-formula and skips every branch whose assignments all lie before it in the
-preference order. The branches skipped hold no model, and the rest are
-searched in the same order, so the model found is the same one a search
-from scratch would return. A formula found unsatisfiable stays so, and
-later calls return None at once. The search runs on an explicit stack, so
-its depth is not bounded by Python's recursion limit.
+Each call continues the depth-first search where the last one with the same
+polarity stopped. The formula keeps, per polarity, the search frontier: a
+stack of the subtrees not yet searched, each a partial assignment before
+propagation, the next one on top. The subtrees the search gave up on lie
+before the frontier in the preference order, and when a call finds a model
+it pushes the subtree that held it back on top. A formula only ever gains
+clauses, so its set of models only shrinks: a subtree given up on still
+holds no model, and every model now lies in the returned model's subtree or
+in a pending one, in the same order. Each subtree is propagated against the
+whole formula when it is popped, so the clauses appended since it was
+pushed are tested too, and the model found is the same one a search from
+scratch would return. An empty frontier means the formula is unsatisfiable,
+and later calls return None at once. The search runs on an explicit stack,
+so its depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .domain import _is_int
+
 
 class CnfFormula:
-    """CNF over variables 1..num_vars with an append-only clause list.
+    """CNF over variables 1..num_vars with an append-only clause list,
+    stored as per-variable clause masks.
 
-    `solve` records where its search stopped on the formula it is given, so
-    one formula must not be solved from two threads at once, as one oracle
-    must not be called from two threads at once."""
+    The formula also holds, per polarity, the frontier where `solve` stopped,
+    so one formula must not be solved from two threads at once, as one
+    oracle must not be called from two threads at once. A copy or a pickled
+    formula carries its frontiers and resumes independently."""
 
     def __init__(self, num_vars: int) -> None:
         if num_vars < 1:
             raise ValueError("need at least one variable")
         self.num_vars = num_vars
-        # (pos_mask, neg_mask) per clause; bit i is variable i
-        self._masks: list[tuple[int, int]] = []
-        # per polarity, the mask of the variables off the preferred value in
-        # the last model `solve` returned (0 before any call), or None for
-        # both once the formula is unsatisfiable
-        self._floor: list[Optional[int]] = [0, 0]
+        self._count = 0
+        # per variable (index 0 unused), the clauses where it occurs
+        # positively and negatively; bit j is clause j
+        self._pos = [0] * (num_vars + 1)
+        self._neg = [0] * (num_vars + 1)
+        # per polarity, the subtrees not yet searched as (ones, zeros), the
+        # next one last; an empty stack means the formula is unsatisfiable
+        self._pending: list[list[tuple[int, int]]] = [[(0, 0)], [(0, 0)]]
 
     @property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
         """Each clause's literals, by increasing variable."""
         variables = range(1, self.num_vars + 1)
+        pos, neg = self._pos, self._neg
         return tuple(
-            tuple(i if pos >> i & 1 else -i for i in variables if (pos | neg) >> i & 1)
-            for pos, neg in self._masks
+            tuple(i if pos[i] >> j & 1 else -i for i in variables if (pos[i] | neg[i]) >> j & 1)
+            for j in range(self._count)
         )
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return self._count
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Append the disjunction of `literals`: a positive int is a variable,
         a negative one its negation. The empty clause is unsatisfiable.
 
         Raises ValueError, leaving the formula unchanged, on a literal that
-        is not a nonzero int, names a variable beyond num_vars, or repeats a
-        variable."""
-        pos = neg = 0
+        is not a nonzero int (a bool is not one), names a variable beyond
+        num_vars, or repeats a variable."""
+        seen = 0
+        clause = []
         for lit in literals:
-            if not isinstance(lit, int) or lit == 0:
+            if not _is_int(lit) or lit == 0:
                 raise ValueError(f"literal {lit!r} is not a nonzero integer")
             if abs(lit) > self.num_vars:
                 raise ValueError(f"literal {lit} uses a variable beyond {self.num_vars}")
             bit = 1 << abs(lit)
-            if (pos | neg) & bit:
+            if seen & bit:
                 raise ValueError(f"variable {abs(lit)} appears twice in one clause")
+            seen |= bit
+            clause.append(lit)
+        bit = 1 << self._count
+        for lit in clause:
             if lit > 0:
-                pos |= bit
+                self._pos[lit] |= bit
             else:
-                neg |= bit
-        self._masks.append((pos, neg))
+                self._neg[-lit] |= bit
+        self._count += 1
 
 
-def _propagate(
-    clauses: list[tuple[int, int]], ones: int, zeros: int
-) -> Optional[tuple[list[tuple[int, int]], int, int]]:
-    """Unit propagation to fixpoint: (open clauses, ones, zeros), or None on a conflict.
-
-    Only the clauses still open are kept; a clause satisfied here stays
-    satisfied in every branch below."""
-    propagated = True
-    while propagated:
-        propagated = False
-        assigned = ones | zeros
-        open_clauses = []
-        for clause in clauses:
-            pos, neg = clause
-            if pos & ones or neg & zeros:
-                continue
-            free = (pos | neg) & ~assigned
-            if not free:
-                return None
-            if free & (free - 1):
-                open_clauses.append(clause)
-                continue
-            if free & pos:
-                ones |= free
+def _propagate(formula: CnfFormula, ones: int, zeros: int) -> Optional[tuple[int, int, int]]:
+    """Unit propagation to fixpoint against every clause of `formula`:
+    (ones, zeros, mask of the clauses still open), or None on a conflict."""
+    pos, neg = formula._pos, formula._neg
+    variables = range(1, formula.num_vars + 1)
+    every = (1 << formula._count) - 1
+    while True:
+        # the clauses satisfied, and those with at least one and two free literals
+        sat = one = two = 0
+        free = []
+        for i in variables:
+            if ones >> i & 1:
+                sat |= pos[i]
+            elif zeros >> i & 1:
+                sat |= neg[i]
             else:
-                zeros |= free
-            assigned |= free
-            propagated = True
-        clauses = open_clauses
-    return clauses, ones, zeros
+                lits = pos[i] | neg[i]
+                two |= one & lits
+                one |= lits
+                free.append(i)
+        open_clauses = every & ~sat
+        if open_clauses & ~one:
+            return None  # an open clause with every literal false
+        unit = open_clauses & ~two
+        if not unit:
+            return ones, zeros, open_clauses
+        for i in free:
+            forced_one, forced_zero = pos[i] & unit, neg[i] & unit
+            if forced_one:
+                if forced_zero:
+                    return None  # forced both ways
+                ones |= 1 << i
+            elif forced_zero:
+                zeros |= 1 << i
 
 
 def solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[tuple[int, ...]]:
@@ -131,42 +154,31 @@ def solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[tuple[int,
 
     Any returned model satisfies every clause. Unassigned variables in a
     found model are completed with `default_polarity`, which is also the
-    value tried first when branching. The call records the result on
-    `formula`, and the next call with the same polarity resumes from it.
+    value tried first when branching. The call leaves its search frontier on
+    `formula`, and the next call with the same polarity continues from it.
     """
     if default_polarity not in (0, 1):
         raise ValueError("default_polarity must be 0 or 1")
-    floor = formula._floor[default_polarity]
-    if floor is None:
-        return None
     n = formula.num_vars
     all_vars = (1 << (n + 1)) - 2
-    # depth-first on an explicit stack of (open clauses, ones, zeros)
-    stack = [(formula._masks, 0, 0)]
+    # depth-first: each entry is a subtree, (ones, zeros) before propagation
+    stack = formula._pending[default_polarity]
     while stack:
-        node = _propagate(*stack.pop())
-        if node is None:
+        node = stack.pop()
+        propagated = _propagate(formula, *node)
+        if propagated is None:
             continue
-        clauses, ones, zeros = node
-        # the variables off the preferred value, the terms the floor is kept in
-        off = zeros if default_polarity else ones
-        if not clauses:
-            formula._floor[default_polarity] = off
+        ones, zeros, open_clauses = propagated
+        if not open_clauses:
+            stack.append(node)  # every later model lies in this subtree or below it on the stack
             bits = ones if default_polarity == 0 else ~zeros
             return tuple((bits >> i) & 1 for i in range(1, n + 1))
         free = all_vars & ~(ones | zeros)
         var = free & -free
-        # every variable below var is assigned: where does that prefix first
-        # differ from the floor's?
-        diff = (off ^ floor) & (var - 1)
-        if floor & diff & -diff:
-            continue  # preferred where the floor is not: all before it
-        one, zero = (clauses, ones | var, zeros), (clauses, ones, zeros | var)
+        one, zero = (ones | var, zeros), (ones, zeros | var)
         preferred, other = (one, zero) if default_polarity else (zero, one)
         stack.append(other)
-        if diff or not floor & var:
-            stack.append(preferred)  # else every assignment under it precedes the floor
-    formula._floor = [None, None]
+        stack.append(preferred)
     return None
 
 

@@ -127,6 +127,30 @@ class TestEnumerate:
         # the prediction plus the run's 15 calls; the memo answered 15 more
         assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (16, 15)
 
+    def test_summary_times_the_solver(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
+        assert code == 0
+        assert 0 < out[-1]["time_sat"] <= out[-1]["time_total"]
+        instances = tmp_path / "rows.csv"
+        instances.write_text("10,10,5,0\n")
+        code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
+        assert code == 0
+        assert out[0]["type"] == "instance"
+        assert 0 < out[0]["time_sat"] <= out[0]["time_total"]
+
+    def test_summary_times_the_solver(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
+        assert code == 0
+        assert 0 < out[-1]["time_sat"] <= out[-1]["time_total"]
+        instances = tmp_path / "rows.csv"
+        instances.write_text("10,10,5,0\n")
+        code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
+        assert code == 0
+        assert out[0]["type"] == "instance"
+        assert 0 < out[0]["time_sat"] <= out[0]["time_total"]
+
     def test_limit_marks_incomplete(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0", "--limit", "1")

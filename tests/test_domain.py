@@ -188,6 +188,12 @@ class TestExplanationType:
         with pytest.raises(ValueError):
             Explanation(ExplanationKind.AXP, frozenset({0}))
 
+    @pytest.mark.parametrize("features", [{True, 2}, {True}, {1.0}, {"1"}])
+    def test_indices_are_ints(self, features):
+        # the rule FeatureSpace.validate_features applies: True is no index
+        with pytest.raises(ValueError):
+            Explanation(ExplanationKind.AXP, features)
+
     def test_value_semantics(self):
         expl = Explanation(ExplanationKind.CXP, {2, 3})
         for twin in (pickle.loads(pickle.dumps(expl)), copy.deepcopy(expl)):

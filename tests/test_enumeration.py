@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import monoxp.enumeration
 from conftest import assert_subset_minimal, boolean_space, random_monotone_dnf
 
 from monoxp import (
@@ -197,6 +198,19 @@ class TestCounters:
         report = enumerate_explanations(Point((10, 10, 5, 0)), counting)
         assert counting.call_count == report.oracle_calls
 
+    def test_sat_seconds_times_the_solver_calls(self, grade, monkeypatch):
+        # each of the 4 calls sleeps inside the loop's timed span
+        real_solve = monoxp.enumeration.solve
+
+        def slow_solve(formula, default_polarity=1):
+            time.sleep(0.01)
+            return real_solve(formula, default_polarity=default_polarity)
+
+        monkeypatch.setattr(monoxp.enumeration, "solve", slow_solve)
+        report = enumerate_explanations(Point((10, 10, 5, 0)), grade)
+        assert report.sat_calls == 4
+        assert 0.04 <= report.sat_seconds <= report.elapsed
+
 
 class Recording:
     """Oracle wrapper that logs the values of every point it is asked."""
@@ -244,3 +258,19 @@ def test_each_point_reaches_the_oracle_once_but_the_loop_corners():
         assert report.complete, name
         assert repeats <= 2 * explanations, (name, repeats, explanations)
         assert report.oracle_calls == len(recording.asked), name
+
+
+@pytest.mark.parametrize("corner", [0, 1], ids=["zeros", "ones"])
+def test_appendix_cnf_k10_enumeration(corner):
+    # about a thousand explanations: the solver resumes across as many calls
+    # on one growing formula, and the families must still be exact
+    clf = _draw_appendix_cnf(random.Random(10), 10)
+    v = Point((corner,) * 20)
+    report = enumerate_explanations(v, clf)
+    assert report.complete
+    assert report.sat_calls == len(report.axps) + len(report.cxps) + 1
+    assert len(report.formula) == report.sat_calls - 1
+    ok, counterexample = check_duality(report.axps, report.cxps)
+    assert ok, counterexample
+    for expl in report.axps + report.cxps:
+        assert_subset_minimal(expl, v, clf)

@@ -210,3 +210,77 @@ class TestDimacs:
     def test_empty_clause_rendering(self):
         formula = formula_of(1, [[]])
         assert to_dimacs(formula).strip().splitlines()[1] == "0"
+
+
+class TestClauseValidation:
+    @pytest.mark.parametrize("literals", [[True], [2, True], [-1, False]])
+    def test_bool_literal_rejected(self, literals):
+        # True would otherwise pass for the literal 1
+        formula = formula_of(2, [[-1]])
+        with pytest.raises(ValueError):
+            formula.add_clause(literals)
+        assert formula.clauses == ((-1,),)
+        assert solve(formula) == (0, 1)
+
+
+literal_strategy = st.one_of(
+    st.integers(-8, 8),
+    st.booleans(),
+    st.sampled_from([1.0, "1", None]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.lists(st.lists(literal_strategy, max_size=5), max_size=12))
+def test_clauses_read_back_as_given(num_vars, candidates):
+    # accepted clauses come back as their literal sets by increasing
+    # variable, the empty one included; a rejected one leaves no trace
+    formula = CnfFormula(num_vars)
+    expected = []
+    for literals in candidates:
+        variables = [abs(l) for l in literals if type(l) is int]
+        valid = (
+            all(type(l) is int and l != 0 for l in literals)
+            and all(v <= num_vars for v in variables)
+            and len(set(variables)) == len(variables)
+        )
+        if valid:
+            formula.add_clause(iter(literals))
+            expected.append(tuple(sorted(literals, key=abs)))
+        else:
+            with pytest.raises(ValueError):
+                formula.add_clause(iter(literals))
+        assert formula.clauses == tuple(expected)
+        assert len(formula) == len(expected)
+
+
+class TestResumedSearch:
+    @pytest.mark.parametrize("polarity", [1, 0])
+    def test_clause_the_last_model_satisfies_keeps_the_model(self, polarity):
+        formula = formula_of(4, [[1, 2], [-1, -3], [3, 4]])
+        model = solve(formula, polarity)
+        satisfied = [i if model[i - 1] else -i for i in (2, 4)]
+        formula.add_clause(satisfied)
+        assert solve(formula, polarity) == model == reference_solve(formula, polarity)
+
+    @pytest.mark.parametrize("polarity", [1, 0])
+    def test_repeated_calls_return_the_same_model(self, polarity):
+        formula = formula_of(5, [[1, -2], [-1, 3], [2, 4], [-4, -5]])
+        first = solve(formula, polarity)
+        assert solve(formula, polarity) == solve(formula, polarity) == first
+        formula.add_clause([-1 if first[0] else 1])  # x1 off the value the model gave it
+        second = solve(formula, polarity)
+        assert second != first and solve(formula, polarity) == second
+        assert second == reference_solve(formula, polarity)
+
+    def test_clause_closing_the_whole_frontier_is_unsat_for_good(self):
+        # x1 and x2 are forced, so [-1, -2] leaves no model anywhere
+        formula = formula_of(3, [[1], [2]])
+        assert solve(formula, 1) == (1, 1, 1)
+        assert solve(formula, 0) == (1, 1, 0)
+        formula.add_clause([-1, -2])
+        assert solve(formula, 1) is None
+        for clause in ([3], [-3], []):
+            formula.add_clause(clause)
+            for polarity in (1, 0):
+                assert solve(formula, polarity) is None
