@@ -1,8 +1,9 @@
 """Classifier oracles: built-in monotone models, an external-process client,
 a counting/caching wrapper, and a randomized monotonicity prober.
 
-An oracle is a black box: the only interaction is classify(point) -> label.
-Monotonicity is assumed by the explanation algorithms, never enforced here;
+An oracle is a black box: the only interaction is classify(point) -> label,
+or classify_many(points) -> labels for several points at once. Monotonicity
+is assumed by the explanation algorithms, never enforced here;
 `probe_monotonicity` offers a sampling-based sanity check. Oracles are meant
 to be used from one thread at a time.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import abc
 import operator
+import os
+import select
 import shlex
 import subprocess
 import time
@@ -31,10 +34,17 @@ class ClassifierOracle(abc.ABC):
 
     space: FeatureSpace
     classes: ClassOrder
+    # True when classify_many answers a batch in fewer round trips than
+    # classify would; the corner check batches only for such oracles.
+    batches: bool = False
 
     @abc.abstractmethod
     def classify(self, point: Point) -> str:
         """Label for a point; identical points must yield identical labels."""
+
+    def classify_many(self, points: Sequence[Point]) -> list[str]:
+        """Labels for several points, in order: classify on each in turn."""
+        return [self.classify(point) for point in points]
 
     def close(self) -> None:
         """Release held resources such as a child process; a no-op for in-process models."""
@@ -198,21 +208,41 @@ class AppendixCnfClassifier(ClassifierOracle):
 
 
 def _format_coordinate(value: Number) -> str:
+    if isinstance(value, int):
+        return str(int(value))  # exact at any size; a bool goes out as 0 or 1
     v = float(value)
     return str(int(v)) if v.is_integer() else repr(v)
+
+
+# a pipe write up to this size is atomic: it goes in whole or not at all
+# (POSIX promises at least 512 bytes; Linux gives 4096)
+_PIPE_BUF = getattr(select, "PIPE_BUF", 512)
+
+# how many coordinate texts an external oracle keeps: enough for every value
+# of small integer domains, bounded for real ones
+_KEPT_TEXTS = 1024
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    while data:
+        data = data[os.write(fd, data):]
 
 
 class ExternalProcessOracle(ClassifierOracle):
     """Client for a classifier running as a child process.
 
     Line protocol over the child's standard streams, UTF-8:
-      request  "v1,v2,...,vN\\n"  (decimal numbers, '.' separator)
-      response "LABEL\\n"          (one of the declared class labels)
-    One classification per request line; requests are serialized. The feature
-    space and class order come from a sidecar description, never from the
-    process. Any malformed response, unknown label, or early exit raises
-    OracleError.
+      request  "v1,v2,...,vN\\n"  (decimal numbers, '.' separator; integers exact)
+      response "LABEL\\n"          (one of the declared class labels; "\\r\\n" accepted)
+    One classification per request line, answered in order. classify_many
+    sends a batch of short requests in one write, so the child must answer
+    each line as it reads it rather than wait for more input; the corner
+    check sends both corners of a box that way. The feature space and class
+    order come from a sidecar description, never from the process. Any
+    malformed response, unknown label, or early exit raises OracleError.
     """
+
+    batches = True
 
     def __init__(self, command: str | Sequence[str], space: FeatureSpace, classes: ClassOrder) -> None:
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
@@ -220,42 +250,77 @@ class ExternalProcessOracle(ClassifierOracle):
             raise ValueError("empty oracle command line")
         self.space = space
         self.classes = classes
+        # every accepted response line, terminator included, to its label
+        self._labels = {label.encode("utf-8") + end: label for end in (b"\n", b"\r\n") for label in classes.labels}
+        self._texts: dict[Number, str] = {}
         self._proc: Optional[subprocess.Popen] = None
 
-    def _ensure_started(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            return
-        if self._proc is not None:
-            raise OracleError(f"oracle process exited with status {self._proc.returncode}")
+    def _started(self) -> subprocess.Popen:
+        if self._proc is None:
+            try:
+                self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            except OSError as exc:
+                raise OracleError(f"cannot start oracle process {self.command!r}: {exc}") from exc
+        return self._proc
+
+    def _request(self, point: Point) -> bytes:
+        self.space.validate_point(point)
         try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
-            )
+            text = ",".join(map(self._texts.__getitem__, point.values))
+        except KeyError:
+            text = ",".join(map(self._text, point.values))
+        return (text + "\n").encode()
+
+    def _text(self, value: Number) -> str:
+        """A coordinate's request text, kept for the next request; equal numbers format alike."""
+        text = _format_coordinate(value)
+        if len(self._texts) < _KEPT_TEXTS:
+            self._texts[value] = text
+        return text
+
+    def _send(self, request: bytes) -> None:
+        proc = self._started()
+        try:
+            _write_all(proc.stdin.fileno(), request)
         except OSError as exc:
-            raise OracleError(f"cannot start oracle process {self.command!r}: {exc}") from exc
+            raise self._failure(f"oracle process rejected request {request.decode()!r}: {exc}") from exc
+
+    def _label(self, line: bytes) -> str:
+        label = self._labels.get(line)
+        if label is not None:
+            return label
+        if not line.endswith(b"\n"):
+            raise self._failure("oracle process closed its output mid-dialogue")
+        shown = line.rstrip(b"\r\n").decode("utf-8", "backslashreplace")
+        raise OracleError(f"oracle process returned unknown label {shown!r}")
+
+    def _failure(self, message: str) -> OracleError:
+        """The error for a broken pipe, naming the child's exit status once it has one."""
+        try:
+            status = self._proc.wait(timeout=1)
+        except subprocess.TimeoutExpired:
+            return OracleError(f"{message} (the process is still running)")
+        return OracleError(f"{message} (exit status {status})")
 
     def classify(self, point: Point) -> str:
-        self.space.validate_point(point)
-        self._ensure_started()
-        assert self._proc is not None and self._proc.stdin and self._proc.stdout
-        request = ",".join(_format_coordinate(x) for x in point.values)
-        try:
-            self._proc.stdin.write(request + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise OracleError(f"oracle process rejected request {request!r}: {exc}") from exc
-        line = self._proc.stdout.readline()
-        if line == "":
-            raise OracleError("oracle process closed its output mid-dialogue")
-        label = line.rstrip("\r\n")
-        if label not in self.classes:
-            raise OracleError(f"oracle process returned unknown label {label!r}")
-        return label
+        self._send(self._request(point))
+        return self._label(self._proc.stdout.readline())
+
+    def classify_many(self, points: Sequence[Point]) -> list[str]:
+        requests = [self._request(point) for point in points]
+        batch = b"".join(requests)
+        if len(batch) > _PIPE_BUF:
+            # too long to be sure the child's empty input pipe takes it at once
+            labels = []
+            for request in requests:
+                self._send(request)
+                labels.append(self._label(self._proc.stdout.readline()))
+            return labels
+        self._send(batch)
+        # every answer is read before any is checked, so a bad one leaves none behind
+        readline = self._proc.stdout.readline
+        lines = [readline() for _ in requests]
+        return [self._label(line) for line in lines]
 
     def close(self) -> None:
         if self._proc is None:
@@ -278,13 +343,16 @@ class CountingOracle(ClassifierOracle):
 
     Cache hits are counted apart, in `cache_hits`, not in `call_count`, and
     never change answers (inner oracles are deterministic). Also accumulates
-    wall time spent inside the inner oracle. Not shareable across threads.
+    wall time spent inside the inner oracle. Batches when the inner oracle
+    does: classify_many counts, caches and asks the inner oracle exactly as
+    classify on each point in turn would. Not shareable across threads.
     """
 
     def __init__(self, inner: ClassifierOracle, cache: bool = False) -> None:
         self.inner = inner
         self.space = inner.space
         self.classes = inner.classes
+        self.batches = getattr(inner, "batches", False)
         self.call_count = 0
         self.cache_hits = 0
         self.classify_seconds = 0.0
@@ -302,6 +370,29 @@ class CountingOracle(ClassifierOracle):
         if self._cache is not None:
             self._cache[key] = label
         return label
+
+    def classify_many(self, points: Sequence[Point]) -> list[str]:
+        cache = self._cache
+        if cache is None:
+            return self._ask(points)
+        # a point asked earlier in the batch is a hit, as it would be in turn
+        misses: dict[tuple[Number, ...], Point] = {}
+        for point in points:
+            if point.values in cache or point.values in misses:
+                self.cache_hits += 1
+            else:
+                misses[point.values] = point
+        if misses:
+            cache.update(zip(misses, self._ask(list(misses.values()))))
+        return [cache[point.values] for point in points]
+
+    def _ask(self, points: Sequence[Point]) -> list[str]:
+        """The inner oracle's labels, counted and timed; a lone point goes through classify."""
+        start = time.perf_counter()
+        labels = [self.inner.classify(points[0])] if len(points) == 1 else self.inner.classify_many(points)
+        self.classify_seconds += time.perf_counter() - start
+        self.call_count += len(points)
+        return labels
 
     def reset(self) -> None:
         self.call_count = 0

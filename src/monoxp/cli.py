@@ -75,10 +75,13 @@ def _parse_values(cells: Iterable[str]) -> list:
     for part in cells:
         part = part.strip()
         try:
-            x = float(part)
+            values.append(int(part))  # exact, however many digits
         except ValueError:
-            raise ValueError(f"not a number: {part!r}") from None
-        values.append(int(x) if x.is_integer() else x)
+            try:
+                x = float(part)
+            except ValueError:
+                raise ValueError(f"not a number: {part!r}") from None
+            values.append(int(x) if x.is_integer() else x)
     return values
 
 
@@ -330,6 +333,7 @@ def aggregate_bench_records(records: Sequence[dict]) -> dict:
         cache_hits_avg=sum(r["cache_hits"] for r in done) / count if count else 0.0,
         time_total_sum=time_total,
         time_classifier_sum=time_classifier,
+        time_sat_sum=sum(r["time_sat"] for r in done),
         classifier_time_pct=100.0 * time_classifier / time_total if time_total else 0.0,
     )
 

@@ -56,7 +56,13 @@ def _box(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[Point, P
 
 
 def _corners_agree(oracle: ClassifierOracle, low: Point, up: Point) -> bool:
-    """Classify a box's lower corner, then its upper corner: do the labels agree?"""
+    """Classify a box's lower corner, then its upper corner: do the labels agree?
+
+    An oracle that batches gets both corners in one classify_many call.
+    """
+    if getattr(oracle, "batches", False):
+        low_label, up_label = oracle.classify_many((low, up))
+        return low_label == up_label
     return oracle.classify(low) == oracle.classify(up)
 
 

@@ -8,6 +8,7 @@ two-call corner shortcut used by the library.
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_right
 from typing import Optional
 
@@ -16,6 +17,7 @@ import pytest
 from monoxp import (
     ClassOrder,
     CnfFormula,
+    ExternalProcessOracle,
     FeatureDomain,
     FeatureSpace,
     GradeClassifier,
@@ -60,6 +62,42 @@ def random_monotone_dnf(num_features, num_terms, rng):
         terms = [t for t in terms if not term <= t]
         terms.append(term)
     return MonotoneDnfClassifier(boolean_space(num_features), terms)
+
+
+# The grade model as a child process that appends every request line it
+# reads, as received, to the file named by its one argument.
+LOGGING_GRADE_CHILD = """\
+import sys
+with open(sys.argv[1], "a", encoding="utf-8", newline="") as log:
+    for line in sys.stdin:
+        log.write(line)
+        log.flush()
+        q, x, h, r = [float(p) for p in line.split(",")]
+        s = max(0.3 * q + 0.6 * x + 0.1 * h, r)
+        print(next((g for t, g in ((9, "A"), (7, "B"), (5, "C"), (4, "D"), (2, "E")) if s >= t), "F"), flush=True)
+"""
+
+
+def logging_grade_command(log_path) -> list[str]:
+    return [sys.executable, "-c", LOGGING_GRADE_CHILD, str(log_path)]
+
+
+def logging_grade_oracle(log_path, space: Optional[FeatureSpace] = None) -> ExternalProcessOracle:
+    """The grade model behind a pipe, logging its requests to `log_path`;
+    `space` replaces the grade space, which must keep four features."""
+    grade = GradeClassifier()
+    return ExternalProcessOracle(logging_grade_command(log_path), space or grade.space, grade.classes)
+
+
+def logged_requests(log_path) -> list[str]:
+    """The request lines a logging child received, each with its line end."""
+    with open(log_path, encoding="utf-8", newline="") as log:
+        return log.readlines()
+
+
+def request_lines(points) -> list[str]:
+    """The request lines of integer-valued points, as the wire carries them."""
+    return [",".join(map(str, p)) + "\n" for p in points]
 
 
 def point_leq(a, b):

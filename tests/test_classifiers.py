@@ -1,5 +1,6 @@
 import itertools
 import random
+import select
 import subprocess
 import sys
 from functools import partial
@@ -10,6 +11,8 @@ from hypothesis import given, strategies as st
 from conftest import (
     boolean_space,
     grid_points,
+    logged_requests,
+    logging_grade_oracle,
     point_leq,
     random_monotone_dnf,
     reference_appendix_label,
@@ -19,6 +22,7 @@ from conftest import (
 
 from monoxp import (
     AppendixCnfClassifier,
+    ClassifierOracle,
     ClassOrder,
     CountingOracle,
     ExternalProcessOracle,
@@ -308,6 +312,58 @@ class TestCountingOracle:
         assert counting.call_count == 0 and counting.cache_hits == 0 and counting.classify_seconds == 0.0
 
 
+class BatchRecording(ClassifierOracle):
+    """The grade model, keeping every point asked and how each batch arrived."""
+
+    batches = True
+
+    def __init__(self):
+        self.inner = GradeClassifier()
+        self.space = self.inner.space
+        self.classes = self.inner.classes
+        self.points = []
+        self.batch_sizes = []
+
+    def classify(self, point):
+        self.points.append(point.values)
+        self.batch_sizes.append(1)
+        return self.inner.classify(point)
+
+    def classify_many(self, points):
+        self.points.extend(p.values for p in points)
+        self.batch_sizes.append(len(points))
+        return [self.inner.classify(p) for p in points]
+
+
+# a few grade points, so that random lists of them repeat often
+_GRADE_POINTS = st.tuples(*[st.sampled_from((0, 5, 10))] * 4).map(Point)
+
+
+class TestCountingOracleBatches:
+    def test_forwards_whether_the_inner_oracle_batches(self, grade):
+        assert not CountingOracle(grade).batches
+        assert CountingOracle(CountingOracle(BatchRecording())).batches
+
+    @given(batches=st.lists(st.lists(_GRADE_POINTS, max_size=4), max_size=6), cache=st.booleans())
+    def test_same_as_classify_in_turn(self, batches, cache):
+        one_by_one, batched = BatchRecording(), BatchRecording()
+        sequential = CountingOracle(one_by_one, cache=cache)
+        counting = CountingOracle(batched, cache=cache)
+        for batch in batches:
+            assert counting.classify_many(batch) == [sequential.classify(p) for p in batch]
+        assert (counting.call_count, counting.cache_hits) == (sequential.call_count, sequential.cache_hits)
+        assert batched.points == one_by_one.points
+        # what the memo could not answer reaches the inner oracle in one call
+        assert len(batched.batch_sizes) <= len(batches)
+
+    def test_a_point_repeated_in_the_batch_is_a_hit(self):
+        inner = BatchRecording()
+        counting = CountingOracle(inner, cache=True)
+        v = Point((10, 10, 5, 0))
+        assert counting.classify_many((v, v)) == ["A", "A"]
+        assert (counting.call_count, counting.cache_hits, inner.points) == (1, 1, [v.values])
+
+
 @pytest.mark.parametrize("cls, params", [(MonotoneDnfClassifier, [[1]]), (AppendixCnfClassifier, [[1], [-1]])])
 def test_boolean_classifiers_check_their_space_and_classes(cls, params):
     integers = FeatureSpace(tuple(FeatureDomain("integer", 0, 1) for _ in range(2)))
@@ -399,6 +455,72 @@ class TestExternalProcessOracle:
                 proc.wait = wait
         assert proc.stdin.closed and proc.stdout.closed
         assert proc.returncode is not None
+
+    def test_batches_match_in_process_grade(self, grade, tmp_path):
+        rng = random.Random(6)
+        points = [Point(tuple(rng.randint(0, 10) for _ in range(4))) for _ in range(600)]
+        with logging_grade_oracle(tmp_path / "requests.log") as oracle:
+            assert oracle.batches
+            assert oracle.classify_many(points[:2]) == [grade.classify(p) for p in points[:2]]
+            # past one atomic pipe write the requests go one at a time
+            assert len("".join(f"{','.join(map(str, p))}\n" for p in points)) > select.PIPE_BUF
+            assert oracle.classify_many(points) == [grade.classify(p) for p in points]
+        assert len(logged_requests(tmp_path / "requests.log")) == 602
+
+    def test_a_corner_pair_is_one_write(self, tmp_path):
+        # the child reads raw chunks: a single write of both lines arrives whole
+        script = (
+            "import os, sys\n"
+            "log = open(sys.argv[1], 'a')\n"
+            "while chunk := os.read(0, 65536):\n"
+            "    log.write(repr(chunk) + '\\n'); log.flush()\n"
+            "    os.write(1, b'A\\n' * chunk.count(b'\\n'))\n"
+        )
+        space, classes = self.grade_space()
+        log = tmp_path / "chunks.log"
+        with ExternalProcessOracle([sys.executable, "-c", script, str(log)], space, classes) as oracle:
+            assert oracle.classify_many((Point((0, 0, 0, 0)), Point((10, 10, 10, 10)))) == ["A", "A"]
+        assert log.read_text().splitlines() == [repr(b"0,0,0,0\n10,10,10,10\n")]
+
+    def test_integers_past_float_precision_are_sent_exactly(self, tmp_path):
+        space = FeatureSpace((FeatureDomain("integer", 0, 2**54),) * 2 + (FeatureDomain("real", 0, 10),) * 2)
+        log = tmp_path / "requests.log"
+        with logging_grade_oracle(log, space) as oracle:
+            oracle.classify(Point((2**53 + 1, 0, 0, 0)))
+            oracle.classify_many((Point((0, 2**53 + 3, 0, 0)), Point((True, 1, 1.5, 2.0))))
+        assert logged_requests(log) == ["9007199254740993,0,0,0\n", "0,9007199254740995,0,0\n", "1,1,1.5,2\n"]
+
+    def test_crlf_responses_accepted(self):
+        space, classes = self.grade_space()
+        script = "import sys\nfor line in sys.stdin: sys.stdout.write('B\\r\\n'); sys.stdout.flush()"
+        with ExternalProcessOracle(_oracle_script(script), space, classes) as oracle:
+            assert oracle.classify_many((Point((1, 1, 1, 1)), Point((2, 2, 2, 2)))) == ["B", "B"]
+
+    def test_undecodable_response_is_an_unknown_label(self):
+        space, classes = self.grade_space()
+        script = "import sys\nfor line in sys.stdin: sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()"
+        with ExternalProcessOracle(_oracle_script(script), space, classes) as oracle:
+            with pytest.raises(OracleError, match=r"unknown label '\\\\xff'"):
+                oracle.classify(Point((1, 1, 1, 1)))
+
+    def test_a_bad_answer_in_a_batch_leaves_the_dialogue_in_step(self):
+        # the child answers Z to 1,1,1,1 only; the batch's second answer is
+        # read before the error is raised, so the next request gets its own
+        space, classes = self.grade_space()
+        script = GRADE_ORACLE.replace(
+            "for line in sys.stdin:\n",
+            "for line in sys.stdin:\n    if line == '1,1,1,1\\n':\n        print('Z', flush=True)\n        continue\n",
+        )
+        with ExternalProcessOracle(_oracle_script(script), space, classes) as oracle:
+            with pytest.raises(OracleError, match="unknown label 'Z'"):
+                oracle.classify_many((Point((1, 1, 1, 1)), Point((0, 0, 0, 0))))
+            assert oracle.classify(Point((10, 10, 10, 10))) == "A"
+
+    def test_exit_status_is_named(self):
+        space, classes = self.grade_space()
+        with ExternalProcessOracle(_oracle_script("import sys; sys.exit(7)"), space, classes) as oracle:
+            with pytest.raises(OracleError, match="exit status 7"):
+                oracle.classify_many((Point((1, 1, 1, 1)), Point((2, 2, 2, 2))))
 
     def test_unstartable_command(self):
         space, classes = self.grade_space()

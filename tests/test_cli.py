@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from conftest import logged_requests, logging_grade_command
+
 from monoxp import GradeClassifier, Point, SpecError, build_oracle, verify_axp, verify_cxp
 from monoxp.cli import main
 
@@ -257,6 +259,15 @@ class TestBench:
         assert rows[0]["cache_hits"] == 15
         assert aggregate["cache_hits_avg"] == sum(r["cache_hits"] for r in rows) / 3
 
+    def test_aggregate_sums_the_solver_time(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        instances = tmp_path / "rows.csv"
+        instances.write_text("10,10,5,0\n0,0,0,0\n")
+        code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
+        assert code == 0
+        *rows, aggregate = out
+        assert aggregate["time_sat_sum"] == sum(r["time_sat"] for r in rows) > 0
+
     def test_header_row_skipped(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
         instances = tmp_path / "rows.csv"
@@ -418,6 +429,39 @@ class TestExternalOracle:
         code, _, err = run(capsys, "explain", "--spec", spec, "--instance", "1", "--kind", "axp")
         assert code == 3
         assert err[0]["error"] == "oracle-failure"
+
+    def test_undecodable_reply_exits_3(self, tmp_path, capsys):
+        reply = "import sys\nfor line in sys.stdin: sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()"
+        spec = write_spec(
+            tmp_path,
+            {
+                "schema": 1,
+                "kind": "external",
+                "command": [sys.executable, "-c", reply],
+                "features": [{"name": "a", "kind": "boolean", "lower": 0, "upper": 1}],
+                "classes": ["0", "1"],
+            },
+        )
+        code, out, err = run(capsys, "explain", "--spec", spec, "--instance", "1", "--kind", "axp")
+        assert (code, out) == (3, [])
+        assert err[0]["error"] == "oracle-failure"
+
+    def test_integer_instance_past_float_precision_is_exact(self, tmp_path, capsys):
+        log = tmp_path / "requests.log"
+        spec = write_spec(
+            tmp_path,
+            {
+                "schema": 1,
+                "kind": "external",
+                "command": logging_grade_command(log),
+                "features": [{"kind": "integer", "lower": 0, "upper": 2**54}] * 4,
+                "classes": ["F", "E", "D", "C", "B", "A"],
+            },
+        )
+        code, out, _ = run(capsys, "explain", "--spec", spec, "--instance", "9007199254740993,0,0,0", "--kind", "axp")
+        assert code == 0
+        assert out[0]["instance"] == [9007199254740993, 0, 0, 0]
+        assert logged_requests(log)[0] == "9007199254740993,0,0,0\n"
 
     def test_dying_process_exits_3(self, tmp_path, capsys):
         spec = write_spec(

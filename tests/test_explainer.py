@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import assert_subset_minimal, random_monotone_dnf
+from conftest import (
+    assert_subset_minimal,
+    logged_requests,
+    logging_grade_oracle,
+    random_monotone_dnf,
+    request_lines,
+)
 
 from monoxp import (
     ClassifierOracle,
@@ -109,6 +115,28 @@ def test_grade_enumeration_queries(grade, polarity, queries):
     assert report.axp_sets() == {frozenset({1, 2})}
     assert report.cxp_sets() == {frozenset({1}), frozenset({2})}
     assert oracle.points == queries
+
+
+@pytest.mark.parametrize("find,seed,expected,queries", GRADE_QUERIES, ids=["axp", "axp-seed", "cxp", "cxp-seed"])
+def test_grade_scan_requests_over_a_pipe(tmp_path, find, seed, expected, queries):
+    # the oracle gets both corners of a box at once; the child must still
+    # receive the same requests in the same order
+    log = tmp_path / "requests.log"
+    with logging_grade_oracle(log) as oracle:
+        expl = find(Point((10, 10, 5, 0)), oracle, seed=seed, order=(1, 2, 3, 4))
+    assert expl.features == expected
+    assert logged_requests(log) == request_lines(queries)
+
+
+@pytest.mark.parametrize("polarity,queries", GRADE_ENUMERATION_QUERIES, ids=["polarity-1", "polarity-0"])
+def test_grade_enumeration_requests_over_a_pipe(tmp_path, polarity, queries):
+    log = tmp_path / "requests.log"
+    with logging_grade_oracle(log) as oracle:
+        report = enumerate_explanations(Point((10, 10, 5, 0)), oracle, order=(1, 2, 3, 4), default_polarity=polarity)
+    assert report.axp_sets() == {frozenset({1, 2})}
+    assert report.cxp_sets() == {frozenset({1}), frozenset({2})}
+    assert report.oracle_calls == len(queries)
+    assert logged_requests(log) == request_lines(queries)
 
 
 class TestFindAxp:
