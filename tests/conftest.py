@@ -64,22 +64,23 @@ def random_monotone_dnf(num_features, num_terms, rng):
     return MonotoneDnfClassifier(boolean_space(num_features), terms)
 
 
-# The grade model as a child process that appends every request line it
-# reads, as received, to the file named by its one argument.
-LOGGING_GRADE_CHILD = """\
+# The grade model as a child process. Given an argument, it appends every
+# request line it reads, as received, to the file that argument names.
+GRADE_CHILD = """\
 import sys
-with open(sys.argv[1], "a", encoding="utf-8", newline="") as log:
-    for line in sys.stdin:
+log = open(sys.argv[1], "a", encoding="utf-8", newline="") if len(sys.argv) > 1 else None
+for line in sys.stdin:
+    if log:
         log.write(line)
         log.flush()
-        q, x, h, r = [float(p) for p in line.split(",")]
-        s = max(0.3 * q + 0.6 * x + 0.1 * h, r)
-        print(next((g for t, g in ((9, "A"), (7, "B"), (5, "C"), (4, "D"), (2, "E")) if s >= t), "F"), flush=True)
+    q, x, h, r = [float(p) for p in line.split(",")]
+    s = max(0.3 * q + 0.6 * x + 0.1 * h, r)
+    print(next((g for t, g in ((9, "A"), (7, "B"), (5, "C"), (4, "D"), (2, "E")) if s >= t), "F"), flush=True)
 """
 
 
 def logging_grade_command(log_path) -> list[str]:
-    return [sys.executable, "-c", LOGGING_GRADE_CHILD, str(log_path)]
+    return [sys.executable, "-c", GRADE_CHILD, str(log_path)]
 
 
 def logging_grade_oracle(log_path, space: Optional[FeatureSpace] = None) -> ExternalProcessOracle:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    GRADE_CHILD,
     boolean_space,
     grid_points,
     logged_requests,
@@ -397,20 +398,6 @@ def _oracle_script(body: str) -> list[str]:
     return [sys.executable, "-c", body]
 
 
-GRADE_ORACLE = """
-import sys
-for line in sys.stdin:
-    q, x, h, r = [float(p) for p in line.strip().split(",")]
-    s = max(0.3 * q + 0.6 * x + 0.1 * h, r)
-    for t, g in ((9, "A"), (7, "B"), (5, "C"), (4, "D"), (2, "E")):
-        if s >= t:
-            print(g, flush=True)
-            break
-    else:
-        print("F", flush=True)
-"""
-
-
 class TestExternalProcessOracle:
     def grade_space(self):
         g = GradeClassifier()
@@ -419,7 +406,7 @@ class TestExternalProcessOracle:
     def test_matches_in_process_grade(self, grade):
         space, classes = self.grade_space()
         rng = random.Random(5)
-        with ExternalProcessOracle(_oracle_script(GRADE_ORACLE), space, classes) as oracle:
+        with ExternalProcessOracle(_oracle_script(GRADE_CHILD), space, classes) as oracle:
             for _ in range(25):
                 p = Point(tuple(rng.randint(0, 10) for _ in range(4)))
                 assert oracle.classify(p) == grade.classify(p)
@@ -440,7 +427,7 @@ class TestExternalProcessOracle:
     @pytest.mark.parametrize("child_hangs", [False, True])
     def test_close_releases_both_pipes(self, child_hangs):
         space, classes = self.grade_space()
-        with ExternalProcessOracle(_oracle_script(GRADE_ORACLE), space, classes) as oracle:
+        with ExternalProcessOracle(_oracle_script(GRADE_CHILD), space, classes) as oracle:
             oracle.classify(Point((1, 1, 1, 1)))
             proc = oracle._proc
             if child_hangs:
@@ -507,7 +494,7 @@ class TestExternalProcessOracle:
         # the child answers Z to 1,1,1,1 only; the batch's second answer is
         # read before the error is raised, so the next request gets its own
         space, classes = self.grade_space()
-        script = GRADE_ORACLE.replace(
+        script = GRADE_CHILD.replace(
             "for line in sys.stdin:\n",
             "for line in sys.stdin:\n    if line == '1,1,1,1\\n':\n        print('Z', flush=True)\n        continue\n",
         )

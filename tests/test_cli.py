@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import logged_requests, logging_grade_command
+from conftest import GRADE_CHILD, logged_requests, logging_grade_command
 
 from monoxp import GradeClassifier, Point, SpecError, build_oracle, verify_axp, verify_cxp
 from monoxp.cli import main
@@ -27,21 +27,8 @@ CONSTANT_SPEC = {
     "thresholds": [],
 }
 
-GRADE_ORACLE_SCRIPT = """\
-import sys
-for line in sys.stdin:
-    q, x, h, r = [float(p) for p in line.strip().split(",")]
-    s = max(0.3 * q + 0.6 * x + 0.1 * h, r)
-    for t, g in ((9, "A"), (7, "B"), (5, "C"), (4, "D"), (2, "E")):
-        if s >= t:
-            print(g, flush=True)
-            break
-    else:
-        print("F", flush=True)
-"""
-
 # the same child, except that it exits when asked about the point 1,2,3,4
-DYING_GRADE_ORACLE_SCRIPT = GRADE_ORACLE_SCRIPT.replace(
+DYING_GRADE_CHILD = GRADE_CHILD.replace(
     "for line in sys.stdin:\n",
     "for line in sys.stdin:\n    if line.startswith('1,2,3,4'):\n        sys.exit(1)\n",
 )
@@ -358,7 +345,7 @@ class TestArgumentBounds:
 
 
 class TestExternalOracle:
-    def external_spec(self, tmp_path, script_text=GRADE_ORACLE_SCRIPT):
+    def external_spec(self, tmp_path, script_text=GRADE_CHILD):
         script = tmp_path / "oracle.py"
         script.write_text(script_text)
         return write_spec(
@@ -407,7 +394,7 @@ class TestExternalOracle:
 
     @pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]])
     def test_bench_keeps_rows_finished_before_the_child_dies(self, tmp_path, capsys, parallel):
-        spec = self.external_spec(tmp_path, DYING_GRADE_ORACLE_SCRIPT)
+        spec = self.external_spec(tmp_path, DYING_GRADE_CHILD)
         instances = tmp_path / "rows.csv"
         instances.write_text("10,10,5,0\n1,2,3,4\n")
         code, out, err = run(capsys, "bench", "--spec", spec, "--instances", str(instances), *parallel)
