@@ -416,7 +416,8 @@ def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0)
     """Sample comparable point pairs and report label-order violations.
 
     Builds pairs a <= b by construction and checks rank(a) <= rank(b).
-    An empty result is evidence, not a proof, of monotonicity.
+    An oracle that batches gets each pair in one classify_many call. An
+    empty result is evidence, not a proof, of monotonicity.
     """
     import random
 
@@ -424,12 +425,15 @@ def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0)
         raise ValueError("trials must be nonnegative")
     rng = random.Random(rng_seed)
     space = oracle.space
+    batches = getattr(oracle, "batches", False)
     violations: list[MonotonicityViolation] = []
     for _ in range(trials):
         a = Point(tuple(d.sample(rng) for d in space.domains))
         b = Point(tuple(d.sample(rng, lower=x) for d, x in zip(space.domains, a.values)))
-        label_a = oracle.classify(a)
-        label_b = oracle.classify(b)
+        if batches:
+            label_a, label_b = oracle.classify_many((a, b))
+        else:
+            label_a, label_b = oracle.classify(a), oracle.classify(b)
         if oracle.classes.rank(label_a) > oracle.classes.rank(label_b):
             violations.append(MonotonicityViolation(a, b, label_a, label_b))
     return violations

@@ -122,6 +122,11 @@ class FeatureSpace:
         return f"f{i}"
 
     def validate_point(self, point: "Point") -> None:
+        # a corner this space's explainer built from a validated point is in
+        # the space already; any other point, corner of another space
+        # included, is checked in full
+        if type(point) is _Corner and point._space is self:
+            return
         values = point.values
         if len(values) != self.arity:
             raise ValueError(f"point arity {len(values)} differs from space arity {self.arity}")
@@ -177,6 +182,36 @@ class Point:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+class _Corner(Point):
+    """A point built from a point validated against `space` and the space's
+    own domain bounds, so it lies in the space by construction.
+
+    `space.validate_point` accepts it at once; any other space checks it in
+    full. It compares, hashes, prints, pickles and copies as the `Point`
+    with the same values, and a pickle or copy of it is that `Point`.
+    """
+
+    __slots__ = ("_space",)
+
+    def __init__(self, values: tuple[Number, ...], space: Optional[FeatureSpace] = None) -> None:
+        # no space (dataclasses.replace builds one so): a point checked in full
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_space", space)
+
+    def __eq__(self, other):
+        if isinstance(other, Point):
+            return self.values == other.values
+        return NotImplemented
+
+    __hash__ = Point.__hash__
+
+    def __repr__(self) -> str:
+        return repr(Point(self.values))
+
+    def __reduce__(self):
+        return Point, (self.values,)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ enumeration loop. An AXp scan starts from the box pinned to v and tries to
 free each feature; a CXp scan starts from the whole box and tries to pin
 each feature. Each scanned feature costs exactly two oracle calls, so a
 full run costs at most 2N+2 calls including the two that establish the
-starting invariant.
+starting invariant. Every corner takes its values from a validated v and
+the domains' own bounds, so the oracle's space does not check it again.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle
-from .domain import Explanation, ExplanationKind, FeatureSpace, Point
+from .domain import Explanation, ExplanationKind, FeatureSpace, Point, _Corner
 
 
 class SeedBreaksInvariant(RuntimeError):
@@ -47,12 +48,16 @@ def corner_points(space: FeatureSpace, v: Point, fixed: Iterable[int]) -> tuple[
 
 
 def _box(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[Point, Point]:
-    """corner_points for a point and a feature set already validated."""
+    """corner_points for a point and a feature set already validated.
+
+    Each corner takes v's values and the domains' own bounds, so it lies in
+    the space: an oracle over `space` takes it without checking it again.
+    """
     low, up = list(v.values), list(v.values)
     for j, dom in enumerate(space.domains):
         if j + 1 not in fixed:
             low[j], up[j] = dom.lower, dom.upper
-    return Point(tuple(low)), Point(tuple(up))
+    return _Corner(tuple(low), space), _Corner(tuple(up), space)
 
 
 def _corners_agree(oracle: ClassifierOracle, low: Point, up: Point) -> bool:
@@ -117,7 +122,7 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         j = i - 1
         was = low[j], up[j]
         low[j], up[j] = target_low[j], target_up[j]
-        if _corners_agree(oracle, Point(tuple(low)), Point(tuple(up))) != agree:
+        if _corners_agree(oracle, _Corner(tuple(low), space), _Corner(tuple(up), space)) != agree:
             low[j], up[j] = was
             picked.add(i)
     return Explanation(kind, frozenset(picked))

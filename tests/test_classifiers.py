@@ -393,6 +393,36 @@ class TestProber:
             assert point_leq(violation.lower, violation.upper)
             assert broken.classes.rank(violation.lower_label) > broken.classes.rank(violation.upper_label)
 
+    def test_a_batching_oracle_gets_the_same_requests(self, grade, tmp_path):
+        # each pair goes out through classify_many; the child must receive
+        # the lines the one-at-a-time path sends, in the same order
+        logs = {}
+        for batches in (True, False):
+            logs[batches] = tmp_path / f"requests-{batches}.log"
+            with logging_grade_oracle(logs[batches]) as oracle:
+                oracle.batches = batches
+                assert probe_monotonicity(oracle, 40, rng_seed=11) == probe_monotonicity(grade, 40, rng_seed=11)
+        assert len(logged_requests(logs[True])) == 80
+        assert logged_requests(logs[True]) == logged_requests(logs[False])
+
+    def test_a_pair_is_one_write(self, tmp_path):
+        # the child reads raw chunks and answers every line with a label
+        # that falls from the first line of a chunk to the second
+        script = (
+            "import os, sys\n"
+            "log = open(sys.argv[1], 'a')\n"
+            "while chunk := os.read(0, 65536):\n"
+            "    log.write(repr(chunk) + '\\n'); log.flush()\n"
+            "    os.write(1, b'B\\n' + b'A\\n' * (chunk.count(b'\\n') - 1))\n"
+        )
+        space = FeatureSpace((FeatureDomain("integer", 0, 3),) * 2)
+        log = tmp_path / "chunks.log"
+        with ExternalProcessOracle([sys.executable, "-c", script, str(log)], space, ClassOrder(("A", "B"))) as oracle:
+            violations = probe_monotonicity(oracle, 5, rng_seed=2)
+        chunks = log.read_text().splitlines()
+        assert len(chunks) == 5 and all(chunk.count("\\n") == 2 for chunk in chunks)
+        assert [(v.lower_label, v.upper_label) for v in violations] == [("B", "A")] * 5
+
 
 def _oracle_script(body: str) -> list[str]:
     return [sys.executable, "-c", body]

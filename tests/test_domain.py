@@ -1,25 +1,44 @@
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import boolean_space, point_leq, random_monotone_dnf, semantic_axp, semantic_cxp
+from conftest import (
+    boolean_space,
+    logged_requests,
+    logging_grade_oracle,
+    point_leq,
+    random_monotone_dnf,
+    semantic_axp,
+    semantic_cxp,
+)
 
 from monoxp import (
+    AppendixCnfClassifier,
+    ClassifierOracle,
     ClassOrder,
     Explanation,
     ExplanationKind,
     FeatureDomain,
     FeatureSpace,
+    GradeClassifier,
+    LinearThresholdClassifier,
+    MonotoneDnfClassifier,
+    NoCxpExists,
     Point,
     corner_points,
+    enumerate_explanations,
+    find_axp,
+    find_cxp,
     verify_axp,
     verify_cxp,
 )
+from monoxp.domain import _Corner
 
 
 class TestFeatureDomain:
@@ -318,3 +337,154 @@ def test_dichotomy_on_integer_domains():
     for subset in _all_subsets(everything):
         assert verify_axp(subset, v, clf) == (not verify_cxp(everything - subset, v, clf))
         assert verify_axp(subset, v, clf) == semantic_axp(subset, v, clf)
+
+
+class PointRecorder(ClassifierOracle):
+    """Keeps every point it is asked, as asked, then asks the inner model."""
+
+    def __init__(self, inner, batches=False):
+        self.inner = inner
+        self.space = inner.space
+        self.classes = inner.classes
+        self.batches = batches
+        self.points = []
+
+    def classify(self, point):
+        self.points.append(point)
+        return self.inner.classify(point)
+
+
+def _member(dom):
+    """A value of `dom` as `_inside` draws it or, in a real domain, an int."""
+    if dom.kind == "real" and math.ceil(dom.lower) <= math.floor(dom.upper):
+        return st.one_of(_inside(dom), st.integers(math.ceil(dom.lower), math.floor(dom.upper)))
+    return _inside(dom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_DOMAINS, min_size=1, max_size=4), st.booleans(), st.data())
+def test_every_point_sent_to_an_oracle_lies_in_its_space(domains, batches, data):
+    # the corners the library builds skip the oracle's check, so each one
+    # must pass the per-coordinate reference, and behave as the plain Point
+    space = FeatureSpace(tuple(domains))
+    v = Point(tuple(data.draw(_member(dom)) for dom in domains))
+    weights = data.draw(st.lists(st.one_of(st.integers(0, 3), st.floats(0, 3)), min_size=space.arity, max_size=space.arity))
+    thresholds = sorted(data.draw(st.sets(st.one_of(st.integers(-6, 12), st.floats(-6, 12)), max_size=2)))
+    clf = LinearThresholdClassifier(space, weights, thresholds, ClassOrder(("a", "b", "c")[: len(thresholds) + 1]))
+    oracle = PointRecorder(clf, batches)
+    features = data.draw(st.sets(st.sampled_from(list(space.features))))
+    order = data.draw(st.permutations(list(space.features)))
+    corners = corner_points(space, v, features)
+    find_axp(v, oracle, order=order)
+    try:
+        find_cxp(v, oracle, order=order)
+    except NoCxpExists:
+        pass
+    verify_axp(features, v, oracle)
+    verify_cxp(features, v, oracle)
+    enumerate_explanations(v, oracle, order=order)
+    assert oracle.points
+    for point in oracle.points + list(corners):
+        _reference_validate(space, point)
+        plain = Point(point.values)
+        assert point == plain and plain == point and not point != plain
+        assert hash(point) == hash(plain) and repr(point) == repr(plain)
+        copied = pickle.loads(pickle.dumps(point))
+        assert type(copied) is Point and copied == plain
+
+
+def _bad_points(space):
+    """Caller points outside `space`: past a bound, NaN, of no number type,
+    non-integral in a discrete domain, one coordinate too many."""
+    low = [dom.lower for dom in space.domains]
+
+    def changed(i, value):
+        values = list(low)
+        values[i] = value
+        return Point(tuple(values))
+
+    points = [
+        changed(space.arity - 1, space.domains[-1].upper + 1),
+        changed(0, space.domains[0].lower - 0.5),
+        changed(0, math.nan),
+        changed(space.arity - 1, "1"),
+        Point(tuple(low) + (space.domains[0].lower,)),
+    ]
+    points += [changed(j, space.domains[j].lower + 0.5) for j in space._discrete[:1]]
+    return points
+
+
+# every public call that takes a caller's point
+_ENTRY_POINTS = {
+    "classify": lambda v, clf: clf.classify(v),
+    "find_axp": lambda v, clf: find_axp(v, clf),
+    "find_cxp": lambda v, clf: find_cxp(v, clf),
+    "verify_axp": lambda v, clf: verify_axp({1}, v, clf),
+    "verify_cxp": lambda v, clf: verify_cxp({1}, v, clf),
+    "corner_points": lambda v, clf: corner_points(clf.space, v, {1}),
+    "enumerate_explanations": lambda v, clf: enumerate_explanations(v, clf),
+}
+
+_MODELS = {
+    "grade": GradeClassifier,
+    "linear": lambda: LinearThresholdClassifier(
+        FeatureSpace((FeatureDomain("integer", 0, 3), FeatureDomain("real", 0, 1), FeatureDomain("integer", 1.0, 4.0))),
+        [1, 2, 0.5],
+        [2, 4],
+        ClassOrder(("lo", "mid", "hi")),
+    ),
+    "monotone-dnf": lambda: MonotoneDnfClassifier(boolean_space(3), [[1, 2], [3]]),
+    "appendix-cnf": lambda: AppendixCnfClassifier(boolean_space(4), [[1, -2], [2]]),
+}
+
+
+class TestValidationAtTheBoundary:
+    """A point a caller builds is checked on every public path, with the
+    per-coordinate check's exception type and message; a corner the library
+    builds is trusted only by the space object that built it."""
+
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_a_caller_point_outside_the_space_is_rejected(self, model, entry):
+        clf = _MODELS[model]()
+        for point in _bad_points(clf.space):
+            expected = _outcome(_reference_validate, clf.space, point)
+            assert expected is not None
+            assert _outcome(_ENTRY_POINTS[entry], point, clf) == expected
+
+    def test_no_request_outside_the_space_reaches_a_child(self, tmp_path):
+        log = tmp_path / "requests.log"
+        with logging_grade_oracle(log) as oracle:
+            oracle.classify(Point((1, 2, 3, 4)))
+            for entry in _ENTRY_POINTS.values():
+                for point in _bad_points(oracle.space):
+                    assert _outcome(entry, point, oracle) == _outcome(_reference_validate, oracle.space, point)
+            # a batch with one bad point sends none of its points
+            with pytest.raises(ValueError, match="coordinate 1 value 11 outside"):
+                oracle.classify_many((Point((0, 0, 0, 0)), Point((11, 0, 0, 0))))
+        assert logged_requests(log) == ["1,2,3,4\n"]
+
+    def test_a_corner_of_an_equal_space_is_checked_in_full(self):
+        space = FeatureSpace((FeatureDomain("integer", 0, 3),) * 3)
+        twin = FeatureSpace(space.domains)
+        assert twin == space and twin is not space
+        clf = LinearThresholdClassifier(twin, [1, 1, 1], [4], ClassOrder(("lo", "hi")))
+        low, up = corner_points(space, Point((1, 2, 3)), {2})
+        assert (clf.classify(low), clf.classify(up)) == ("lo", "hi")
+        # a corner outside the space it names: only that very space object
+        # takes it unchecked, so an equal one finds the bad coordinate
+        forged = _Corner((1, 4, 3), space)
+        space.validate_point(forged)
+        assert _outcome(clf.classify, forged) == (ValueError, "coordinate 2 value 4 outside integer domain [0, 3]")
+        # a corner with new values is a caller's point, checked everywhere
+        moved = dataclasses.replace(low, values=(1, 4, 3))
+        assert _outcome(space.validate_point, moved) == _outcome(clf.classify, forged)
+
+    def test_a_corner_handed_to_a_narrower_space_raises(self):
+        wide = FeatureSpace((FeatureDomain("integer", 0, 5),) * 3)
+        narrow = FeatureSpace((FeatureDomain("integer", 0, 3),) * 3)
+        clf = LinearThresholdClassifier(narrow, [1, 1, 1], [4], ClassOrder(("lo", "hi")))
+        low, up = corner_points(wide, Point((1, 2, 3)), {2})
+        assert clf.classify(low) == "lo"
+        with pytest.raises(ValueError, match=r"^coordinate 1 value 5 outside integer domain \[0, 3\]$"):
+            clf.classify(up)
