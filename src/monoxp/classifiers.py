@@ -35,7 +35,7 @@ class ClassifierOracle(abc.ABC):
     space: FeatureSpace
     classes: ClassOrder
     # True when classify_many answers a batch in fewer round trips than
-    # classify would; the corner check batches only for such oracles.
+    # classify would; classify_pair batches only for such oracles.
     batches: bool = False
 
     @abc.abstractmethod
@@ -54,6 +54,14 @@ class ClassifierOracle(abc.ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def classify_pair(oracle: ClassifierOracle, a: Point, b: Point) -> tuple[str, str]:
+    """Labels for a, then b: one classify_many call if the oracle batches, else two classify calls."""
+    if getattr(oracle, "batches", False):
+        label_a, label_b = oracle.classify_many((a, b))
+        return label_a, label_b
+    return oracle.classify(a), oracle.classify(b)
 
 
 class GradeClassifier(ClassifierOracle):
@@ -415,9 +423,9 @@ class MonotonicityViolation:
 def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0) -> list[MonotonicityViolation]:
     """Sample comparable point pairs and report label-order violations.
 
-    Builds pairs a <= b by construction and checks rank(a) <= rank(b).
-    An oracle that batches gets each pair in one classify_many call. An
-    empty result is evidence, not a proof, of monotonicity.
+    Builds pairs a <= b by construction, asks each through classify_pair,
+    and checks rank(a) <= rank(b). An empty result is evidence, not a
+    proof, of monotonicity.
     """
     import random
 
@@ -425,15 +433,11 @@ def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0)
         raise ValueError("trials must be nonnegative")
     rng = random.Random(rng_seed)
     space = oracle.space
-    batches = getattr(oracle, "batches", False)
     violations: list[MonotonicityViolation] = []
     for _ in range(trials):
         a = Point(tuple(d.sample(rng) for d in space.domains))
         b = Point(tuple(d.sample(rng, lower=x) for d, x in zip(space.domains, a.values)))
-        if batches:
-            label_a, label_b = oracle.classify_many((a, b))
-        else:
-            label_a, label_b = oracle.classify(a), oracle.classify(b)
+        label_a, label_b = classify_pair(oracle, a, b)
         if oracle.classes.rank(label_a) > oracle.classes.rank(label_b):
             violations.append(MonotonicityViolation(a, b, label_a, label_b))
     return violations

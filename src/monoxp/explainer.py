@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .classifiers import ClassifierOracle
+from .classifiers import ClassifierOracle, classify_pair
 from .domain import Explanation, ExplanationKind, FeatureSpace, Point, _Corner
 
 
@@ -61,14 +61,9 @@ def _box(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[Point, P
 
 
 def _corners_agree(oracle: ClassifierOracle, low: Point, up: Point) -> bool:
-    """Classify a box's lower corner, then its upper corner: do the labels agree?
-
-    An oracle that batches gets both corners in one classify_many call.
-    """
-    if getattr(oracle, "batches", False):
-        low_label, up_label = oracle.classify_many((low, up))
-        return low_label == up_label
-    return oracle.classify(low) == oracle.classify(up)
+    """Classify a box's lower corner, then its upper corner: do the labels agree?"""
+    low_label, up_label = classify_pair(oracle, low, up)
+    return low_label == up_label
 
 
 def verify_axp(features: Iterable[int], v: Point, oracle) -> bool:
