@@ -354,6 +354,12 @@ class CountingOracle(ClassifierOracle):
     wall time spent inside the inner oracle. Batches when the inner oracle
     does: classify_many counts, caches and asks the inner oracle exactly as
     classify on each point in turn would. Not shareable across threads.
+
+    An enumeration run keeps one such wrapper, with the memo. The explainer
+    asks through the memo; the loop asks each model's corner pair through
+    `_classify_pair_fresh`, which goes past the memo and leaves nothing in
+    it, so the explainer's start check asks the oracle again and a changed
+    answer shows.
     """
 
     def __init__(self, inner: ClassifierOracle, cache: bool = False) -> None:
@@ -393,6 +399,15 @@ class CountingOracle(ClassifierOracle):
         if misses:
             cache.update(zip(misses, self._ask(list(misses.values()))))
         return [cache[point.values] for point in points]
+
+    def _classify_pair_fresh(self, a: Point, b: Point) -> tuple[str, str]:
+        """Labels for a, then b, from the inner oracle as classify_pair asks
+        it: counted and timed, but neither read from nor kept in the memo."""
+        start = time.perf_counter()
+        labels = classify_pair(self.inner, a, b)
+        self.classify_seconds += time.perf_counter() - start
+        self.call_count += 2
+        return labels
 
     def _ask(self, points: Sequence[Point]) -> list[str]:
         """The inner oracle's labels, counted and timed; a lone point goes through classify."""

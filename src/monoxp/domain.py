@@ -97,12 +97,15 @@ class FeatureSpace:
             object.__setattr__(self, "feature_names", names)
             if len(names) != len(self.domains):
                 raise ValueError("feature_names length differs from the number of domains")
-        # Read by validate_point's compiled passes. Plain tuples, not fields:
+        # Read by validate_point's compiled passes and validate_features'
+        # fast path; the explainer and the enumeration loop take
+        # _feature_set as the set of every feature. Plain attributes, not fields:
         # equality, hashing and repr see only the domains and names, and the
         # space still pickles and copies.
         object.__setattr__(self, "_lowers", tuple(d.lower for d in self.domains))
         object.__setattr__(self, "_uppers", tuple(d.upper for d in self.domains))
         object.__setattr__(self, "_discrete", tuple(i for i, d in enumerate(self.domains) if d.discrete))
+        object.__setattr__(self, "_feature_set", frozenset(range(1, len(self.domains) + 1)))
 
     @property
     def arity(self) -> int:
@@ -147,6 +150,10 @@ class FeatureSpace:
 
     def validate_features(self, features: Iterable[int]) -> frozenset[int]:
         out = frozenset(features)
+        # every index a plain int of 1..N, the common case, in two set tests;
+        # a bool or 1.0 is in the range set too, so the types are tested apart
+        if out <= self._feature_set and set(map(type, out)) <= {int}:
+            return out
         _require_ints(out, "feature indices")
         bad = [i for i in out if not (1 <= i <= self.arity)]
         if bad:

@@ -10,11 +10,17 @@ positive over an AXp's features, negative over a CXp's. One extra
 satisfiability call proves completion, so a finished run makes exactly
 len(axps) + len(cxps) + 1 solver calls.
 
-The explainer asks the oracle through a memo that lives for one run, so a
-point reaches the oracle once per run, except the loop's two corners: the
-loop asks them without the memo, and the explainer's invariant check
-compares them with its own answers, which catches an oracle that changes
-its mind.
+A run keeps one `CountingOracle` with a memo that lives for the run. The
+explainer asks through the memo, so a point reaches the oracle once per
+run, except the loop's two corners: the loop asks them past the memo and
+keeps them out of it, so the explainer's invariant check compares them with
+answers of other queries, which catches an oracle that changes its mind.
+
+A run checks v and `order` once, where they enter. The loop hands the
+explainer v as a corner of the run's space, so the explainer's check of v
+passes at once. Each model's fixed set, built from the model's indices,
+goes to the corner check unchecked; the seeds the explainer gets are plain
+ints of 1..N, which `validate_features` accepts in two set tests.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, CountingOracle
-from .domain import Explanation, ExplanationKind, Point
-from .explainer import SeedBreaksInvariant, find_axp, find_cxp, verify_axp
+from .domain import Explanation, ExplanationKind, Point, _Corner
+from .explainer import SeedBreaksInvariant, _box, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
 
 
@@ -35,10 +41,10 @@ class InternalConsistencyError(RuntimeError):
 
     The explainer's seed box is the box whose two corners the loop has just
     classified, so it rejects the seed only when the oracle answers the same
-    point differently on a second query. The loop asks the corners without
-    the run's memo; the explainer's answer is a fresh oracle call, or the
-    memo's copy of an earlier call in the same run. A deterministic oracle,
-    monotone or not, never raises this.
+    point differently on a second query. The loop asks the corners past the
+    run's memo and keeps them out of it; the explainer's answer is a fresh
+    oracle call, or the memo's copy of an earlier call in the same run. A
+    deterministic oracle, monotone or not, never raises this.
     """
 
 
@@ -84,13 +90,15 @@ def enumerate_explanations(
     spent in the oracle's calls, `sat_seconds` the wall time spent in the
     loop's satisfiability calls.
     """
-    counting = CountingOracle(oracle)
-    memo = CountingOracle(counting, cache=True)
-    space = counting.space
+    counted = CountingOracle(oracle, cache=True)
+    space = counted.space
     space.validate_point(v)
-    n = space.arity
-    all_features = frozenset(space.features)
-    formula = CnfFormula(n)
+    if order is not None:
+        order = space.validate_order(order)
+    # checked, so as a corner of the run's space it passes the explainer's check at once
+    v = _Corner(v.values, space)
+    all_features = space._feature_set
+    formula = CnfFormula(space.arity)
     report = EnumerationReport(formula=formula)
     start = time.perf_counter()
     while True:
@@ -106,15 +114,16 @@ def enumerate_explanations(
             report.complete = True
             break
         fixed = frozenset(i for i in space.features if model[i - 1] == 0)
+        low_label, up_label = counted._classify_pair_fresh(*_box(space, v, fixed))
         try:
-            if verify_axp(fixed, v, counting):
+            if low_label == up_label:
                 # the fixed side forces the prediction: some AXp inside it
-                expl = find_axp(v, memo, seed=all_features - fixed, order=order)
+                expl = find_axp(v, counted, seed=all_features - fixed, order=order)
                 report.axps.append(expl)
                 formula.add_clause(expl.sorted_features())
             else:
                 # the free side admits a change: some CXp inside it
-                expl = find_cxp(v, memo, seed=fixed, order=order)
+                expl = find_cxp(v, counted, seed=fixed, order=order)
                 report.cxps.append(expl)
                 formula.add_clause(-i for i in expl.sorted_features())
         except SeedBreaksInvariant as exc:
@@ -123,9 +132,9 @@ def enumerate_explanations(
             ) from exc
         if callback is not None:
             callback(expl)
-    report.oracle_calls = counting.call_count
-    report.cache_hits = memo.cache_hits
-    report.classify_seconds = counting.classify_seconds
+    report.oracle_calls = counted.call_count
+    report.cache_hits = counted.cache_hits
+    report.classify_seconds = counted.classify_seconds
     report.elapsed = time.perf_counter() - start
     return report
 

@@ -3,13 +3,14 @@ or one contrastive explanation.
 
 A box pins each feature to its value in v or frees it over its whole
 domain. For a monotonic oracle the box forces the prediction exactly when
-its two corners get the same label; `_corners_agree` is the one place that
-classifies them, for `verify_axp`/`verify_cxp`, the scan and the
-enumeration loop. An AXp scan starts from the box pinned to v and tries to
-free each feature; a CXp scan starts from the whole box and tries to pin
-each feature. Each scanned feature costs exactly two oracle calls, so a
-full run costs at most 2N+2 calls including the two that establish the
-starting invariant. Every corner takes its values from a validated v and
+its two corners get the same label; `_corners_agree` classifies them for
+`verify_axp`/`verify_cxp` and the scan. The enumeration loop builds its
+boxes with `_box` too, and asks their corners past its run's memo, through
+the same `classify_pair`. An AXp scan starts from the box pinned to v and
+tries to free each feature; a CXp scan starts from the whole box and tries
+to pin each feature. Each scanned feature costs exactly two oracle calls,
+so a full run costs at most 2N+2 calls including the two that establish
+the starting invariant. Every corner takes its values from a validated v and
 the domains' own bounds, so the oracle's space does not check it again.
 """
 
@@ -99,7 +100,7 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
     space.validate_point(v)
     seed_set = space.validate_features(seed)
     order_seq = tuple(space.features) if order is None else space.validate_order(order)
-    everything = frozenset(space.features)
+    everything = space._feature_set
     agree = kind is ExplanationKind.AXP
     start = _box(space, v, everything - seed_set if agree else seed_set)
     if _corners_agree(oracle, *start) != agree:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import enum
 import itertools
 import math
 import pickle
@@ -178,6 +179,51 @@ class TestOnePassValidation:
             twin.validate_point(Point((1, 0, 1)))
             with pytest.raises(ValueError, match="coordinate 2 value 2 outside"):
                 twin.validate_point(Point((1, 2, 1)))
+
+
+class _Index(enum.IntEnum):
+    ONE = 1
+
+
+def _reference_validate_features(space, features):
+    """validate_features as it was before its fast path: every index an int
+    and no bool, then every index in 1..N."""
+    out = frozenset(features)
+    bad = [i for i in out if not (isinstance(i, int) and not isinstance(i, bool))]
+    if bad:
+        raise ValueError(f"feature indices must be integers, got {bad[0]!r}")
+    bad = [i for i in out if not (1 <= i <= space.arity)]
+    if bad:
+        raise ValueError(f"feature indices out of range 1..{space.arity}: {sorted(bad)}")
+    return out
+
+
+def _features_outcome(validate, space, container, indices):
+    """The set returned, element types included, or the exception's type and message."""
+    features = {"set": set, "list": list, "generator": lambda xs: (x for x in xs)}[container](indices)
+    try:
+        out = validate(space, features)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out, sorted((type(i).__name__, i) for i in out)
+
+
+class TestFeaturesFastPath:
+    """validate_features accepts plain in-range ints in two set tests and
+    sends anything else through the per-index checks: the same set, or the
+    same exception and message, as the per-index body alone."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 20), st.sampled_from(["set", "list", "generator"]), st.data())
+    def test_same_result_as_the_per_index_body(self, n, container, data):
+        space = boolean_space(n)
+        odd = st.sampled_from([0, n + 1, -1, -7, True, False, 1.0, _Index.ONE, "1", None])
+        # mostly in-range indices, so that both paths are taken often
+        index = st.one_of(st.integers(1, n), st.integers(1, n), st.integers(1, n), odd)
+        indices = data.draw(st.lists(index, max_size=2 * n))
+        indices += data.draw(st.lists(st.sampled_from(indices), max_size=3)) if indices else []  # duplicates
+        expected = _features_outcome(_reference_validate_features, space, container, indices)
+        assert _features_outcome(FeatureSpace.validate_features, space, container, indices) == expected
 
 
 class TestClassOrder:

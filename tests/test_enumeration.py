@@ -1,13 +1,15 @@
+import hashlib
 import random
 import time
 
 import pytest
 
 import monoxp.enumeration
-from conftest import assert_subset_minimal, boolean_space, random_monotone_dnf
+from conftest import assert_subset_minimal, boolean_space, logged_requests, logging_grade_oracle, random_monotone_dnf
 
 from monoxp import (
     AppendixCnfClassifier,
+    ClassifierOracle,
     ClassOrder,
     CountingOracle,
     ExplanationKind,
@@ -15,6 +17,7 @@ from monoxp import (
     FeatureSpace,
     GradeClassifier,
     InternalConsistencyError,
+    MonotoneDnfClassifier,
     Point,
     brute_force_explanations,
     check_duality,
@@ -274,3 +277,145 @@ def test_appendix_cnf_k10_enumeration(corner):
     assert ok, counterexample
     for expl in report.axps + report.cxps:
         assert_subset_minimal(expl, v, clf)
+
+
+# Per run, recorded before the loop kept one oracle wrapper: the formula's
+# seed and k, the corner (all zeros or all ones), sat_calls, oracle_calls,
+# cache_hits, |AXps|, |CXps|, and the first 16 hex digits of the sha256 of
+# the stream of explanations, repr([(kind, sorted features), ...]).
+_PINNED_CNF_RUNS = [
+    (0, 5, 0, 38, 230, 326, 31, 6, "6f90609862b7aad3"),
+    (0, 5, 1, 38, 324, 324, 6, 31, "c6a2569575b152b2"),
+    (1, 6, 0, 71, 448, 714, 64, 6, "796dd48403d4c408"),
+    (1, 6, 1, 71, 728, 728, 6, 64, "14c15449898355e0"),
+    (2, 7, 0, 136, 917, 1569, 128, 7, "c3aa2253070726b2"),
+    (2, 7, 1, 136, 1628, 1628, 7, 128, "8f49175f24cc29d1"),
+    (3, 5, 0, 38, 227, 321, 31, 6, "19d4ce29e0c8dc9a"),
+    (3, 5, 1, 38, 299, 319, 6, 31, "5be6ffb48f466a2d"),
+    (4, 6, 0, 68, 446, 668, 59, 8, "009f53f0f185046a"),
+    (4, 6, 1, 68, 681, 679, 8, 59, "12cdb1799e9b1667"),
+    (5, 7, 0, 134, 937, 1513, 122, 11, "67ccfe3525f7f136"),
+    (5, 7, 1, 134, 1553, 1581, 11, 122, "59b1b3b60fa024e6"),
+    (6, 5, 0, 38, 222, 326, 32, 5, "31847a3d1a37e730"),
+    (6, 5, 1, 38, 324, 324, 5, 32, "9d57b6a5bedb28f7"),
+    (7, 6, 0, 70, 455, 691, 61, 8, "ab21cf7547388891"),
+    (7, 6, 1, 70, 684, 688, 8, 61, "854d146dcab7dba1"),
+    (8, 7, 0, 136, 917, 1569, 128, 7, "c3aa2253070726b2"),
+    (8, 7, 1, 136, 1628, 1628, 7, 128, "8f49175f24cc29d1"),
+    (9, 5, 0, 38, 232, 316, 30, 7, "73f8e00fbb233bf8"),
+    (9, 5, 1, 38, 317, 319, 7, 30, "8c0306a1b12e4ea1"),
+    (10, 6, 0, 71, 448, 714, 64, 6, "796dd48403d4c408"),
+    (10, 6, 1, 71, 728, 728, 6, 64, "14c15449898355e0"),
+    (11, 7, 0, 134, 923, 1527, 124, 9, "0567b2e2651e7249"),
+    (11, 7, 1, 134, 1590, 1590, 9, 124, "553ab5177b3d381a"),
+    (12, 5, 0, 38, 222, 326, 32, 5, "31847a3d1a37e730"),
+    (12, 5, 1, 38, 324, 324, 5, 32, "9d57b6a5bedb28f7"),
+    (13, 6, 0, 71, 460, 702, 62, 8, "cef8e8a8e2dfe950"),
+    (13, 6, 1, 71, 673, 711, 8, 62, "2441a74caead6166"),
+    (14, 7, 0, 134, 937, 1513, 122, 11, "e9327923d5d3c4ed"),
+    (14, 7, 1, 134, 1579, 1579, 11, 122, "9d973009e483dc27"),
+    (15, 5, 0, 38, 235, 321, 30, 7, "12d53cc33e9e0e24"),
+    (15, 5, 1, 38, 320, 322, 7, 30, "c4cedc1b43265664"),
+    (16, 6, 0, 71, 460, 702, 62, 8, "4c363953b36ef1fb"),
+    (16, 6, 1, 71, 710, 718, 8, 62, "6912e512e57385f2"),
+    (17, 7, 0, 136, 924, 1562, 127, 8, "e55b5b415ec7208a"),
+    (17, 7, 1, 136, 1620, 1626, 8, 127, "ed85cefceda9ca6a"),
+    (18, 5, 0, 37, 226, 314, 30, 6, "a993da9485a63722"),
+    (18, 5, 1, 37, 321, 309, 6, 30, "196c90a1b76f6cbc"),
+    (19, 6, 0, 71, 460, 702, 62, 8, "70bc29ffa0d06f38"),
+    (19, 6, 1, 71, 721, 723, 8, 62, "73055f6527c02f66"),
+]
+
+
+class TestOneWrapperPerRun:
+    """The run asks the oracle through one counting, memoising wrapper; the
+    loop's corner pair goes past the memo. The counts and families are
+    pinned, and an oracle that changes its answer must still be caught."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_counters_and_families_as_pinned(self, seed):
+        rows = [row for row in _PINNED_CNF_RUNS if row[0] == seed]
+        k = rows[0][1]
+        clf = _draw_appendix_cnf(random.Random(seed), k)
+        for _, _, corner, *expected in rows:
+            stream = []
+            report = enumerate_explanations(Point((corner,) * (2 * k)), clf, callback=stream.append)
+            text = repr([(e.kind.value, e.sorted_features()) for e in stream])
+            digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+            got = [report.sat_calls, report.oracle_calls, report.cache_hits, len(report.axps), len(report.cxps), digest]
+            assert report.complete
+            assert got == expected, (seed, corner)
+
+    def test_a_batching_child_gets_the_same_requests(self, tmp_path):
+        # the loop's pair and the explainer's pairs go out in one write each
+        # when the oracle batches; the child must still read the same lines
+        outcomes, logs = {}, {}
+        for batches in (True, False):
+            logs[batches] = tmp_path / f"requests-{batches}.log"
+            with logging_grade_oracle(logs[batches]) as oracle:
+                oracle.batches = batches
+                report = enumerate_explanations(Point((10, 10, 5, 0)), oracle)
+            outcomes[batches] = (report.sat_calls, report.oracle_calls, report.cache_hits, report.axps, report.cxps)
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[True][1:3] == (15, 15)
+        assert len(logged_requests(logs[True])) == 15
+        assert logged_requests(logs[True]) == logged_requests(logs[False])
+
+    @pytest.mark.parametrize("batches", [False, True], ids=["single", "batching"])
+    @pytest.mark.parametrize("terms", [[], [[1]]], ids=["axp-branch", "cxp-branch"])
+    def test_a_changed_answer_is_caught(self, terms, batches):
+        # the first model frees both features: the loop asks (0, 0) and
+        # (1, 1), then the explainer's start check asks them again. A
+        # constant model sends the loop to the AXp branch, x1 to the CXp one;
+        # the flipped second answer for (0, 0) breaks the explainer's seed
+        class FlipOnSecondAsk(ClassifierOracle):
+            def __init__(self, inner):
+                self.inner, self.space, self.classes = inner, inner.space, inner.classes
+                self.batches = batches
+                self.asked = 0
+
+            def classify(self, point):
+                label = self.inner.classify(point)
+                if point.values == (0, 0):
+                    self.asked += 1
+                    if self.asked == 2:
+                        return "1" if label == "0" else "0"
+                return label
+
+        oracle = FlipOnSecondAsk(MonotoneDnfClassifier(boolean_space(2), terms))
+        with pytest.raises(InternalConsistencyError):
+            enumerate_explanations(Point((1, 1)), oracle)
+        assert oracle.asked == 2
+
+    @pytest.mark.parametrize(
+        "clf, v",
+        [
+            (GradeClassifier(), Point((10, 10, 5, 0))),
+            (_draw_appendix_cnf(random.Random(3), 5), Point((1,) * 10)),
+            (_draw_appendix_cnf(random.Random(3), 5), Point((0,) * 10)),
+        ],
+        ids=["grade", "cnf-ones", "cnf-zeros"],
+    )
+    def test_the_loop_calls_the_explainer_by_name(self, clf, v, monkeypatch):
+        # bench/spans.py traces the explainer by rebinding these names; each
+        # call must also find the memo as the previous call left it, with two
+        # more counted calls: the loop's corner pair, kept out of the memo
+        calls = {"axp": 0, "cxp": 0}
+        left = {"memo": 0, "counted": 0}
+
+        def counted(kind, find):
+            def explain(v, oracle, seed, order):
+                calls[kind] += 1
+                assert (len(oracle._cache), oracle.call_count) == (left["memo"], left["counted"] + 2)
+                expl = find(v, oracle, seed=seed, order=order)
+                left["memo"], left["counted"] = len(oracle._cache), oracle.call_count
+                return expl
+
+            return explain
+
+        monkeypatch.setattr(monoxp.enumeration, "find_axp", counted("axp", monoxp.enumeration.find_axp))
+        monkeypatch.setattr(monoxp.enumeration, "find_cxp", counted("cxp", monoxp.enumeration.find_cxp))
+        report = enumerate_explanations(v, clf)
+        assert report.complete
+        assert (calls["axp"], calls["cxp"]) == (len(report.axps), len(report.cxps))
+        assert report.oracle_calls == left["counted"]
