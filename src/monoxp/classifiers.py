@@ -35,7 +35,7 @@ class ClassifierOracle(abc.ABC):
     space: FeatureSpace
     classes: ClassOrder
     # True when classify_many answers a batch in fewer round trips than
-    # classify would; classify_pair batches only for such oracles.
+    # classify would; classify_pair and CountingOracle batch only for such oracles.
     batches: bool = False
 
     @abc.abstractmethod
@@ -357,9 +357,9 @@ class CountingOracle(ClassifierOracle):
 
     An enumeration run keeps one such wrapper, with the memo. The explainer
     asks through the memo; the loop asks each model's corner pair through
-    `_classify_pair_fresh`, which goes past the memo and leaves nothing in
-    it, so the explainer's start check asks the oracle again and a changed
-    answer shows.
+    `_ask`, which goes past the memo and leaves nothing in it, under
+    `classify_pair`'s batching rule, so the explainer's start check asks the
+    oracle again and a changed answer shows.
     """
 
     def __init__(self, inner: ClassifierOracle, cache: bool = False) -> None:
@@ -400,29 +400,18 @@ class CountingOracle(ClassifierOracle):
             cache.update(zip(misses, self._ask(list(misses.values()))))
         return [cache[point.values] for point in points]
 
-    def _classify_pair_fresh(self, a: Point, b: Point) -> tuple[str, str]:
-        """Labels for a, then b, from the inner oracle as classify_pair asks
-        it: counted and timed, but neither read from nor kept in the memo."""
-        start = time.perf_counter()
-        labels = classify_pair(self.inner, a, b)
-        self.classify_seconds += time.perf_counter() - start
-        self.call_count += 2
-        return labels
-
     def _ask(self, points: Sequence[Point]) -> list[str]:
-        """The inner oracle's labels, counted and timed; a lone point goes through classify."""
+        """The inner oracle's labels, counted and timed, neither read from nor
+        kept in the memo: one classify_many call when the inner oracle
+        batches and there are several points, else classify on each."""
         start = time.perf_counter()
-        labels = [self.inner.classify(points[0])] if len(points) == 1 else self.inner.classify_many(points)
+        if self.batches and len(points) > 1:
+            labels = self.inner.classify_many(points)
+        else:
+            labels = [self.inner.classify(point) for point in points]
         self.classify_seconds += time.perf_counter() - start
         self.call_count += len(points)
         return labels
-
-    def reset(self) -> None:
-        self.call_count = 0
-        self.cache_hits = 0
-        self.classify_seconds = 0.0
-        if self._cache is not None:
-            self._cache.clear()
 
 
 @dataclass(frozen=True)

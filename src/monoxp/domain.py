@@ -115,10 +115,6 @@ class FeatureSpace:
     def features(self) -> range:
         return range(1, self.arity + 1)
 
-    def domain(self, i: int) -> FeatureDomain:
-        """Domain of feature i (1-based)."""
-        return self.domains[i - 1]
-
     def name(self, i: int) -> str:
         if self.feature_names is not None:
             return self.feature_names[i - 1]
@@ -180,10 +176,6 @@ class Point:
         if not self.values:
             raise ValueError("a point needs at least one coordinate")
 
-    def coordinate(self, i: int) -> Number:
-        """Value of feature i (1-based)."""
-        return self.values[i - 1]
-
     def __iter__(self):
         return iter(self.values)
 
@@ -242,9 +234,6 @@ class ClassOrder:
             return self.labels.index(label)
         except ValueError:
             raise ValueError(f"unknown class label {label!r}") from None
-
-    def leq(self, a: str, b: str) -> bool:
-        return self.rank(a) <= self.rank(b)
 
 
 @dataclass(frozen=True, slots=True)

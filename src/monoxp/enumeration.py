@@ -12,7 +12,8 @@ len(axps) + len(cxps) + 1 solver calls.
 
 A run keeps one `CountingOracle` with a memo that lives for the run. The
 explainer asks through the memo, so a point reaches the oracle once per
-run, except the loop's two corners: the loop asks them past the memo and
+run, except the loop's two corners: the loop asks them through the
+wrapper's `_ask`, past the memo and batched as `classify_pair` batches, and
 keeps them out of it, so the explainer's invariant check compares them with
 answers of other queries, which catches an oracle that changes its mind.
 
@@ -114,18 +115,18 @@ def enumerate_explanations(
             report.complete = True
             break
         fixed = frozenset(i for i in space.features if model[i - 1] == 0)
-        low_label, up_label = counted._classify_pair_fresh(*_box(space, v, fixed))
+        low_label, up_label = counted._ask(_box(space, v, fixed))
         try:
             if low_label == up_label:
                 # the fixed side forces the prediction: some AXp inside it
                 expl = find_axp(v, counted, seed=all_features - fixed, order=order)
                 report.axps.append(expl)
-                formula.add_clause(expl.sorted_features())
+                formula.add_clause(expl.features)
             else:
                 # the free side admits a change: some CXp inside it
                 expl = find_cxp(v, counted, seed=fixed, order=order)
                 report.cxps.append(expl)
-                formula.add_clause(-i for i in expl.sorted_features())
+                formula.add_clause(-i for i in expl.features)
         except SeedBreaksInvariant as exc:
             raise InternalConsistencyError(
                 f"model {model}: the oracle answered the same corner point differently on a second query"

@@ -3,15 +3,15 @@ or one contrastive explanation.
 
 A box pins each feature to its value in v or frees it over its whole
 domain. For a monotonic oracle the box forces the prediction exactly when
-its two corners get the same label; `_corners_agree` classifies them for
-`verify_axp`/`verify_cxp` and the scan. The enumeration loop builds its
-boxes with `_box` too, and asks their corners past its run's memo, through
-the same `classify_pair`. An AXp scan starts from the box pinned to v and
-tries to free each feature; a CXp scan starts from the whole box and tries
-to pin each feature. Each scanned feature costs exactly two oracle calls,
-so a full run costs at most 2N+2 calls including the two that establish
-the starting invariant. Every corner takes its values from a validated v and
-the domains' own bounds, so the oracle's space does not check it again.
+its two corners get the same label: `verify_axp`/`verify_cxp` and the scan
+ask both through `classify_pair` and compare the labels. The enumeration
+loop builds its boxes with `_box` too. An AXp scan starts from the box
+pinned to v and tries to free each feature; a CXp scan starts from the
+whole box and tries to pin each feature. Each scanned feature costs exactly
+two oracle calls, so a full run costs at most 2N+2 calls including the two
+that establish the starting invariant. Every corner takes its values from a
+validated v and the space's own bounds, so the oracle's space does not
+check it again.
 """
 
 from __future__ import annotations
@@ -51,20 +51,14 @@ def corner_points(space: FeatureSpace, v: Point, fixed: Iterable[int]) -> tuple[
 def _box(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[Point, Point]:
     """corner_points for a point and a feature set already validated.
 
-    Each corner takes v's values and the domains' own bounds, so it lies in
-    the space: an oracle over `space` takes it without checking it again.
+    Each corner starts from the space's bounds and takes v's values at the
+    fixed features, so it lies in the space: an oracle over `space` takes it
+    without checking it again.
     """
-    low, up = list(v.values), list(v.values)
-    for j, dom in enumerate(space.domains):
-        if j + 1 not in fixed:
-            low[j], up[j] = dom.lower, dom.upper
+    low, up = list(space._lowers), list(space._uppers)
+    for i in fixed:
+        low[i - 1] = up[i - 1] = v.values[i - 1]
     return _Corner(tuple(low), space), _Corner(tuple(up), space)
-
-
-def _corners_agree(oracle: ClassifierOracle, low: Point, up: Point) -> bool:
-    """Classify a box's lower corner, then its upper corner: do the labels agree?"""
-    low_label, up_label = classify_pair(oracle, low, up)
-    return low_label == up_label
 
 
 def verify_axp(features: Iterable[int], v: Point, oracle) -> bool:
@@ -73,7 +67,8 @@ def verify_axp(features: Iterable[int], v: Point, oracle) -> bool:
     For a monotonic oracle this is decided with two calls, at the corners of
     the box spanned by the free features. Minimality is not checked.
     """
-    return _corners_agree(oracle, *corner_points(oracle.space, v, features))
+    low_label, up_label = classify_pair(oracle, *corner_points(oracle.space, v, features))
+    return low_label == up_label
 
 
 def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
@@ -103,13 +98,14 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
     everything = space._feature_set
     agree = kind is ExplanationKind.AXP
     start = _box(space, v, everything - seed_set if agree else seed_set)
-    if _corners_agree(oracle, *start) != agree:
+    low_label, up_label = classify_pair(oracle, *start)
+    if (low_label == up_label) != agree:
         if agree:
             raise SeedBreaksInvariant(f"freeing seed {sorted(seed_set)} already changes the prediction")
         if not seed_set:
             raise NoCxpExists("the classifier is constant over the feature space box")
         raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
-    target_low, target_up = (p.values for p in _box(space, v, frozenset() if agree else everything))
+    target_low, target_up = (space._lowers, space._uppers) if agree else (v.values, v.values)
     low, up = list(start[0].values), list(start[1].values)
     picked = set()
     for i in order_seq:
@@ -118,7 +114,8 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         j = i - 1
         was = low[j], up[j]
         low[j], up[j] = target_low[j], target_up[j]
-        if _corners_agree(oracle, _Corner(tuple(low), space), _Corner(tuple(up), space)) != agree:
+        low_label, up_label = classify_pair(oracle, _Corner(tuple(low), space), _Corner(tuple(up), space))
+        if (low_label == up_label) != agree:
             low[j], up[j] = was
             picked.add(i)
     return Explanation(kind, frozenset(picked))

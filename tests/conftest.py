@@ -125,9 +125,9 @@ def semantic_axp(features, v, oracle):
     axes = []
     for i in oracle.space.features:
         if i in features:
-            axes.append((v.coordinate(i),))
+            axes.append((v.values[i - 1],))
         else:
-            dom = oracle.space.domain(i)
+            dom = oracle.space.domains[i - 1]
             axes.append(tuple(range(int(dom.lower), int(dom.upper) + 1)))
     return all(oracle.classify(Point(values)) == target for values in itertools.product(*axes))
 

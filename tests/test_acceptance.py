@@ -143,9 +143,8 @@ def test_criterion_2_oracle_call_bound(dnf_corpus, grade_run):
         nonlocal worst, violations, cases
         n = clf.space.arity
         bound = 2 * n + 2
-        counting = CountingOracle(clf)
         for finder in (find_axp, find_cxp):
-            counting.reset()
+            counting = CountingOracle(clf)
             expl = finder(v, counting, order=order)
             _sweep_explanations.append((clf, v, expl))
             cases += 1

@@ -178,7 +178,7 @@ class TestFindAxp:
         counting = CountingOracle(grade)
         find_axp(Point((10, 10, 5, 0)), counting)
         assert counting.call_count == 2 * 4 + 2
-        counting.reset()
+        counting = CountingOracle(grade)
         find_axp(Point((10, 10, 5, 0)), counting, seed={3, 4})
         assert counting.call_count == 2 * (4 - 2) + 2
 
@@ -248,7 +248,7 @@ class TestEveryOrder:
         assert a.features in axps
         assert verify_axp(a.features, v, clf)
         assert_subset_minimal(a, v, clf)
-        counting.reset()
+        counting = CountingOracle(clf)
         c = find_cxp(v, counting, order=order)
         assert counting.call_count <= 2 * n + 2
         assert c.features in cxps
