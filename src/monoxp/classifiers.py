@@ -11,6 +11,7 @@ to be used from one thread at a time.
 from __future__ import annotations
 
 import abc
+import math
 import operator
 import os
 import select
@@ -109,6 +110,9 @@ class LinearThresholdClassifier(ClassifierOracle):
             raise ValueError(f"{len(weights)} weights for {space.arity} features")
         if not all(map(_is_number, (*weights, *thresholds))):
             raise TypeError("weights and thresholds must be numbers")
+        # as FeatureDomain requires of real bounds; NaN would slip past the order tests below
+        if not all(-math.inf < x < math.inf for x in (*weights, *thresholds)):
+            raise ValueError("weights and thresholds must be finite")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         if len(thresholds) != len(classes.labels) - 1:
@@ -392,10 +396,9 @@ class CountingOracle(ClassifierOracle):
         # a point asked earlier in the batch is a hit, as it would be in turn
         misses: dict[tuple[Number, ...], Point] = {}
         for point in points:
-            if point.values in cache or point.values in misses:
-                self.cache_hits += 1
-            else:
-                misses[point.values] = point
+            if point.values not in cache:
+                misses.setdefault(point.values, point)
+        self.cache_hits += len(points) - len(misses)
         if misses:
             cache.update(zip(misses, self._ask(list(misses.values()))))
         return [cache[point.values] for point in points]

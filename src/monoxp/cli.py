@@ -18,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 from .classifiers import ClassifierOracle, CountingOracle, OracleError, probe_monotonicity
 from .domain import Explanation, Point
@@ -70,23 +70,29 @@ def _emit_error(kind: str, message: str) -> None:
     _emit(sys.stderr, _record("error", error=kind, message=message))
 
 
-def _parse_values(cells: Iterable[str]) -> list:
-    values = []
-    for part in cells:
-        part = part.strip()
-        try:
-            values.append(int(part))  # exact, however many digits
-        except ValueError:
-            try:
-                x = float(part)
-            except ValueError:
-                raise ValueError(f"not a number: {part!r}") from None
-            values.append(int(x) if x.is_integer() else x)
-    return values
+def _parse_value(cell: str) -> int | float:
+    cell = cell.strip()
+    try:
+        return int(cell)  # exact, however many digits
+    except ValueError:
+        pass
+    try:
+        x = float(cell)
+    except ValueError:
+        raise ValueError(f"not a number: {cell!r}") from None
+    return int(x) if x.is_integer() else x
+
+
+def _is_number_text(cell: str) -> bool:
+    try:
+        _parse_value(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_instance(text: str, oracle: ClassifierOracle) -> Point:
-    point = Point(tuple(_parse_values(text.split(","))))
+    point = Point(tuple(map(_parse_value, text.split(","))))
     oracle.space.validate_point(point)
     return point
 
@@ -275,27 +281,18 @@ def cmd_probe(args) -> int:
 
 
 def _read_instance_rows(path: str) -> list[tuple[int, list]]:
-    """CSV rows as (line_number, raw cells); a non-numeric first row is a header."""
-    rows: list[tuple[int, list]] = []
+    """CSV rows as (line_number, raw cells); a first row with no number in it is a header."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        first = True
-        for cells in reader:
-            if not cells or all(c.strip() == "" for c in cells):
-                continue
-            if first:
-                first = False
-                try:
-                    _parse_values(cells)
-                except ValueError:
-                    continue  # header row
-            rows.append((reader.line_num, cells))
+        rows = [(reader.line_num, cells) for cells in reader if any(c.strip() for c in cells)]
+    if rows and not any(map(_is_number_text, rows[0][1])):
+        del rows[0]  # a row with a number in it is data, malformed or not
     return rows
 
 
 def _bench_one(oracle: ClassifierOracle, line: int, cells: list) -> dict:
     try:
-        point = Point(tuple(_parse_values(cells)))
+        point = Point(tuple(map(_parse_value, cells)))
         report, counted = _counted(oracle, point, lambda counting, _: enumerate_explanations(point, counting))
     except ValueError as exc:
         return _record("row-error", line=line, message=str(exc))

@@ -121,10 +121,9 @@ class FeatureSpace:
         return f"f{i}"
 
     def validate_point(self, point: "Point") -> None:
-        # a corner this space's explainer built from a validated point is in
-        # the space already; any other point, corner of another space
-        # included, is checked in full
-        if type(point) is _Corner and point._space is self:
+        # a corner this very space built is in it already; any other point,
+        # a corner of another space or a copy of one included, is checked in full
+        if point._space is self:
             return
         values = point.values
         if len(values) != self.arity:
@@ -171,6 +170,10 @@ class Point:
 
     values: tuple[Number, ...]
 
+    # a corner's FeatureSpace, which accepts it unchecked; None for a caller's point or a
+    # copy or pickle of a corner. Not a field: equality, hashing and repr never see it.
+    _space = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
@@ -179,38 +182,16 @@ class Point:
     def __iter__(self):
         return iter(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def __getstate__(self) -> dict:
+        return {"values": self.values}  # a copy or pickle drops _space
 
 
-class _Corner(Point):
-    """A point built from a point validated against `space` and the space's
-    own domain bounds, so it lies in the space by construction.
-
-    `space.validate_point` accepts it at once; any other space checks it in
-    full. It compares, hashes, prints, pickles and copies as the `Point`
-    with the same values, and a pickle or copy of it is that `Point`.
-    """
-
-    __slots__ = ("_space",)
-
-    def __init__(self, values: tuple[Number, ...], space: Optional[FeatureSpace] = None) -> None:
-        # no space (dataclasses.replace builds one so): a point checked in full
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_space", space)
-
-    def __eq__(self, other):
-        if isinstance(other, Point):
-            return self.values == other.values
-        return NotImplemented
-
-    __hash__ = Point.__hash__
-
-    def __repr__(self) -> str:
-        return repr(Point(self.values))
-
-    def __reduce__(self):
-        return Point, (self.values,)
+def _corner(values: tuple[Number, ...], space: FeatureSpace) -> Point:
+    """A Point in `space` by construction: from a validated point and the space's bounds."""
+    point = object.__new__(Point)
+    object.__setattr__(point, "values", values)
+    object.__setattr__(point, "_space", space)
+    return point
 
 
 @dataclass(frozen=True)
@@ -225,9 +206,6 @@ class ClassOrder:
             raise ValueError("a class order needs at least one label")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("class labels must be distinct")
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
 
     def rank(self, label: str) -> int:
         try:

@@ -18,8 +18,8 @@ keeps them out of it, so the explainer's invariant check compares them with
 answers of other queries, which catches an oracle that changes its mind.
 
 A run checks v and `order` once, where they enter. The loop hands the
-explainer v as a corner of the run's space, so the explainer's check of v
-passes at once. Each model's fixed set, built from the model's indices,
+explainer v as a `Point` that carries the run's space, which then accepts
+it at once. Each model's fixed set, built from the model's indices,
 goes to the corner check unchecked; the seeds the explainer gets are plain
 ints of 1..N, which `validate_features` accepts in two set tests.
 """
@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, CountingOracle
-from .domain import Explanation, ExplanationKind, Point, _Corner
+from .domain import Explanation, ExplanationKind, Point, _corner
 from .explainer import SeedBreaksInvariant, _box, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
 
@@ -97,7 +97,7 @@ def enumerate_explanations(
     if order is not None:
         order = space.validate_order(order)
     # checked, so as a corner of the run's space it passes the explainer's check at once
-    v = _Corner(v.values, space)
+    v = _corner(v.values, space)
     all_features = space._feature_set
     formula = CnfFormula(space.arity)
     report = EnumerationReport(formula=formula)

@@ -9,9 +9,8 @@ loop builds its boxes with `_box` too. An AXp scan starts from the box
 pinned to v and tries to free each feature; a CXp scan starts from the
 whole box and tries to pin each feature. Each scanned feature costs exactly
 two oracle calls, so a full run costs at most 2N+2 calls including the two
-that establish the starting invariant. Every corner takes its values from a
-validated v and the space's own bounds, so the oracle's space does not
-check it again.
+that establish the starting invariant. A corner carries the space that
+built it from a validated v, which then does not check it again.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, classify_pair
-from .domain import Explanation, ExplanationKind, FeatureSpace, Point, _Corner
+from .domain import Explanation, ExplanationKind, FeatureSpace, Point, _corner
 
 
 class SeedBreaksInvariant(RuntimeError):
@@ -52,13 +51,12 @@ def _box(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[Point, P
     """corner_points for a point and a feature set already validated.
 
     Each corner starts from the space's bounds and takes v's values at the
-    fixed features, so it lies in the space: an oracle over `space` takes it
-    without checking it again.
+    fixed features, so it lies in the space and carries it.
     """
     low, up = list(space._lowers), list(space._uppers)
     for i in fixed:
         low[i - 1] = up[i - 1] = v.values[i - 1]
-    return _Corner(tuple(low), space), _Corner(tuple(up), space)
+    return _corner(tuple(low), space), _corner(tuple(up), space)
 
 
 def verify_axp(features: Iterable[int], v: Point, oracle) -> bool:
@@ -114,7 +112,7 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         j = i - 1
         was = low[j], up[j]
         low[j], up[j] = target_low[j], target_up[j]
-        low_label, up_label = classify_pair(oracle, _Corner(tuple(low), space), _Corner(tuple(up), space))
+        low_label, up_label = classify_pair(oracle, _corner(tuple(low), space), _corner(tuple(up), space))
         if (low_label == up_label) != agree:
             low[j], up[j] = was
             picked.add(i)

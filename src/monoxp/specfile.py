@@ -51,10 +51,7 @@ def _parse_space(entries: Any) -> FeatureSpace:
 
 def _parse_classes(labels: Any) -> ClassOrder:
     _require(isinstance(labels, list) and labels, "'classes' must be a nonempty list")
-    try:
-        return ClassOrder(tuple(str(l) for l in labels))
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    return ClassOrder(tuple(str(l) for l in labels))  # build_oracle makes a ValueError a SpecError
 
 
 def build_oracle(spec: dict) -> ClassifierOracle:

@@ -87,6 +87,16 @@ class TestLinearThreshold:
         with pytest.raises(ValueError):
             LinearThresholdClassifier(self.space(), [1, 1], [2, 2], ClassOrder(("a", "b", "c")))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_and_thresholds_rejected(self, bad):
+        classes = ClassOrder(("a", "b", "c"))
+        with pytest.raises(ValueError, match="finite"):
+            LinearThresholdClassifier(self.space(), [1, bad], [2, 4], classes)
+        with pytest.raises(ValueError, match="finite"):
+            LinearThresholdClassifier(self.space(), [1, 1], [bad, 4], classes)
+        with pytest.raises(ValueError, match="finite"):
+            LinearThresholdClassifier(self.space(), [1, 1], [2, bad], classes)
+
     def test_weight_count_checked(self):
         with pytest.raises(ValueError):
             LinearThresholdClassifier(self.space(), [1], [2], ClassOrder(("a", "b")))

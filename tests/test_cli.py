@@ -294,6 +294,18 @@ class TestBench:
         assert error["error"] == "malformed-row"
         assert error["message"].startswith("line 2: ")
 
+    def test_a_first_row_with_a_number_is_data(self, tmp_path, capsys):
+        # one bad cell does not make a header: the row is reported, not dropped
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        instances = tmp_path / "rows.csv"
+        instances.write_text("1,x,5,0\n10,10,5,0\n")
+        code, out, err = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
+        assert code == 0
+        assert out[-1]["instances"] == 1 and out[-1]["errors"] == 1
+        (error,) = err
+        assert error["error"] == "malformed-row"
+        assert error["message"].startswith("line 1: ")
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         spec = write_spec(tmp_path, MAJORITY_SPEC)
         instances = tmp_path / "rows.csv"
@@ -593,6 +605,21 @@ class TestSpecLoading:
         assert code == 1
         assert out == []
         assert err[-1]["error"] == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "weights, thresholds",
+        [([1, float("nan")], [2, 4]), ([1, 1], [float("nan"), 4]), ([float("inf"), 1], [2, 4]), ([1, 1], [2, float("inf")])],
+        ids=["weight-nan", "threshold-nan", "weight-inf", "threshold-inf"],
+    )
+    def test_non_finite_linear_parameters_are_input_errors(self, tmp_path, capsys, weights, thresholds):
+        # Python's json reads NaN and Infinity, so a spec file can carry them
+        spec = {**CONSTANT_SPEC, "classes": ["lo", "mid", "hi"], "weights": weights, "thresholds": thresholds}
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(capsys, "explain", "--spec", path, "--instance", "0,0", "--kind", "axp")
+        assert code == 1
+        assert out == []
+        assert [e["error"] for e in err] == ["invalid-input"]
+        assert "finite" in err[0]["message"]
 
     def test_instance_echoes_names(self, tmp_path, capsys):
         spec = write_spec(tmp_path, MAJORITY_SPEC)

@@ -39,7 +39,7 @@ from monoxp import (
     verify_axp,
     verify_cxp,
 )
-from monoxp.domain import _Corner
+from monoxp.domain import _corner
 
 
 class TestFeatureDomain:
@@ -459,7 +459,7 @@ def test_corners_take_the_domain_bounds_and_the_fixed_values(domains, data):
     corners = corner_points(space, v, fixed)
     for corner, expected in zip(corners, _reference_corner_values(space, v, fixed)):
         assert [(type(x), repr(x)) for x in corner.values] == [(type(x), repr(x)) for x in expected]
-        assert type(corner) is _Corner and corner._space is space
+        assert type(corner) is Point and corner._space is space
 
 
 def _bad_points(space):
@@ -542,12 +542,25 @@ class TestValidationAtTheBoundary:
         assert (clf.classify(low), clf.classify(up)) == ("lo", "hi")
         # a corner outside the space it names: only that very space object
         # takes it unchecked, so an equal one finds the bad coordinate
-        forged = _Corner((1, 4, 3), space)
+        forged = _corner((1, 4, 3), space)
         space.validate_point(forged)
         assert _outcome(clf.classify, forged) == (ValueError, "coordinate 2 value 4 outside integer domain [0, 3]")
         # a corner with new values is a caller's point, checked everywhere
         moved = dataclasses.replace(low, values=(1, 4, 3))
         assert _outcome(space.validate_point, moved) == _outcome(clf.classify, forged)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda point: pickle.loads(pickle.dumps(point))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_copy_of_a_corner_is_a_caller_point(self, duplicate):
+        space = FeatureSpace((FeatureDomain("integer", 0, 3),) * 3)
+        forged = _corner((1, 4, 3), space)
+        space.validate_point(forged)
+        copied = duplicate(forged)
+        assert type(copied) is Point and copied == Point((1, 4, 3))
+        assert _outcome(space.validate_point, copied) == (ValueError, "coordinate 2 value 4 outside integer domain [0, 3]")
 
     def test_a_corner_handed_to_a_narrower_space_raises(self):
         wide = FeatureSpace((FeatureDomain("integer", 0, 5),) * 3)
