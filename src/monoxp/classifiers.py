@@ -235,23 +235,22 @@ _PIPE_BUF = getattr(select, "PIPE_BUF", 512)
 _KEPT_TEXTS = 1024
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    while data:
-        data = data[os.write(fd, data):]
-
-
 class ExternalProcessOracle(ClassifierOracle):
     """Client for a classifier running as a child process.
 
     Line protocol over the child's standard streams, UTF-8:
       request  "v1,v2,...,vN\\n"  (decimal numbers, '.' separator; integers exact)
       response "LABEL\\n"          (one of the declared class labels; "\\r\\n" accepted)
-    One classification per request line, answered in order. classify_many
-    sends a batch of short requests in one write, so the child must answer
-    each line as it reads it rather than wait for more input; the corner
-    check sends both corners of a box that way. The feature space and class
-    order come from a sidecar description, never from the process. Any
-    malformed response, unknown label, or early exit raises OracleError.
+    One classification per request line, answered in order. classify asks
+    for one point through classify_many, whose one loop checks and formats
+    every point before the child starts or hears of any, then sends each
+    write whole and reads all its answers before checking one. A batch of
+    at most PIPE_BUF bytes is one write, so the child must answer each line
+    as it reads it rather than wait for more input (the corner check sends
+    both corners of a box that way); a longer one goes a request per write.
+    The feature space and class order come from a sidecar description,
+    never from the process. Any malformed response, unknown label, or early
+    exit raises OracleError.
     """
 
     batches = True
@@ -267,14 +266,6 @@ class ExternalProcessOracle(ClassifierOracle):
         self._texts: dict[Number, str] = {}
         self._proc: Optional[subprocess.Popen] = None
 
-    def _started(self) -> subprocess.Popen:
-        if self._proc is None:
-            try:
-                self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-            except OSError as exc:
-                raise OracleError(f"cannot start oracle process {self.command!r}: {exc}") from exc
-        return self._proc
-
     def _request(self, point: Point) -> bytes:
         self.space.validate_point(point)
         try:
@@ -289,13 +280,6 @@ class ExternalProcessOracle(ClassifierOracle):
         if len(self._texts) < _KEPT_TEXTS:
             self._texts[value] = text
         return text
-
-    def _send(self, request: bytes) -> None:
-        proc = self._started()
-        try:
-            _write_all(proc.stdin.fileno(), request)
-        except OSError as exc:
-            raise self._failure(f"oracle process rejected request {request.decode()!r}: {exc}") from exc
 
     def _label(self, line: bytes) -> str:
         label = self._labels.get(line)
@@ -315,24 +299,33 @@ class ExternalProcessOracle(ClassifierOracle):
         return OracleError(f"{message} (exit status {status})")
 
     def classify(self, point: Point) -> str:
-        self._send(self._request(point))
-        return self._label(self._proc.stdout.readline())
+        return self.classify_many((point,))[0]
 
     def classify_many(self, points: Sequence[Point]) -> list[str]:
         requests = [self._request(point) for point in points]
         batch = b"".join(requests)
-        if len(batch) > _PIPE_BUF:
-            # too long to be sure the child's empty input pipe takes it at once
-            labels = []
-            for request in requests:
-                self._send(request)
-                labels.append(self._label(self._proc.stdout.readline()))
-            return labels
-        self._send(batch)
-        # every answer is read before any is checked, so a bad one leaves none behind
-        readline = self._proc.stdout.readline
-        lines = [readline() for _ in requests]
-        return [self._label(line) for line in lines]
+        # past one atomic write, too long to be sure the child's empty input
+        # pipe takes it at once: one request per write, each answered first
+        writes = [batch] if len(batch) <= _PIPE_BUF else requests
+        if self._proc is None:
+            try:
+                self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            except OSError as exc:
+                raise OracleError(f"cannot start oracle process {self.command!r}: {exc}") from exc
+        stdin, readline = self._proc.stdin.fileno(), self._proc.stdout.readline
+        labels: list[str] = []
+        for request in writes:
+            data = request
+            try:
+                while data:
+                    data = data[os.write(stdin, data):]
+            except OSError as exc:
+                raise self._failure(f"oracle process rejected request {request.decode()!r}: {exc}") from exc
+            # one answer per request line, every one read before any is
+            # checked, so a bad one leaves none behind
+            lines = [readline() for _ in range(request.count(b"\n"))]
+            labels += map(self._label, lines)
+        return labels
 
     def close(self) -> None:
         if self._proc is None:

@@ -282,7 +282,8 @@ def cmd_probe(args) -> int:
 
 def _read_instance_rows(path: str) -> list[tuple[int, list]]:
     """CSV rows as (line_number, raw cells); a first row with no number in it is a header."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write first
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         rows = [(reader.line_num, cells) for cells in reader if any(c.strip() for c in cells)]
     if rows and not any(map(_is_number_text, rows[0][1])):

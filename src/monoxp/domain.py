@@ -54,7 +54,10 @@ class FeatureDomain:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if not (_is_number(self.lower) and _is_number(self.upper)):
             raise TypeError(f"domain bounds must be numbers, got [{self.lower!r}, {self.upper!r}]")
-        lo, up = float(self.lower), float(self.upper)
+        try:
+            lo, up = float(self.lower), float(self.upper)
+        except OverflowError:
+            raise ValueError("domain bounds must fit in a float") from None
         if not (lo <= up):
             raise ValueError(f"domain bounds out of order: [{self.lower}, {self.upper}]")
         if self.kind == "boolean" and (lo, up) != (0.0, 1.0):

@@ -126,7 +126,7 @@ def _construct(kind: str, spec: dict) -> ClassifierOracle:
 def load_spec(path: str) -> dict:
     """Read and minimally validate a JSON classifier description."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             spec = json.load(handle)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc

@@ -19,6 +19,7 @@ from conftest import (
     reference_appendix_label,
     reference_dnf_label,
     reference_linear_label,
+    request_lines,
 )
 
 from monoxp import (
@@ -563,6 +564,54 @@ class TestExternalProcessOracle:
         with ExternalProcessOracle(_oracle_script("import sys; sys.exit(7)"), space, classes) as oracle:
             with pytest.raises(OracleError, match="exit status 7"):
                 oracle.classify_many((Point((1, 1, 1, 1)), Point((2, 2, 2, 2))))
+
+    def test_a_request_to_an_exited_child_is_rejected(self):
+        # the first call finds the child gone and reaps it; the second
+        # cannot write to a pipe nobody reads
+        space, classes = self.grade_space()
+        with ExternalProcessOracle(_oracle_script("import sys; sys.exit(3)"), space, classes) as oracle:
+            with pytest.raises(OracleError, match="exit status 3"):
+                oracle.classify(Point((1, 1, 1, 1)))
+            with pytest.raises(OracleError, match=r"rejected request '2,2,2,2\\n'.*\(exit status 3\)"):
+                oracle.classify(Point((2, 2, 2, 2)))
+
+    def test_a_child_that_closes_its_output_but_runs_on(self):
+        space, classes = self.grade_space()
+        script = "import os, sys; os.close(1); sys.stdin.read()"
+        with ExternalProcessOracle(_oracle_script(script), space, classes) as oracle:
+            with pytest.raises(OracleError, match=r"closed its output.*\(the process is still running\)"):
+                oracle.classify(Point((1, 1, 1, 1)))
+
+    def test_a_long_batch_goes_one_request_per_write(self, tmp_path):
+        # each request is answered before the next one is written, so the
+        # child reads every request as a chunk of its own
+        script = (
+            "import os, sys\n"
+            "log = open(sys.argv[1], 'a')\n"
+            "while chunk := os.read(0, 65536):\n"
+            "    log.write(repr(chunk) + '\\n'); log.flush()\n"
+            "    os.write(1, b'A\\n' * chunk.count(b'\\n'))\n"
+        )
+        space, classes = self.grade_space()
+        rng = random.Random(4)
+        points = [Point(tuple(rng.randint(0, 10) for _ in range(4))) for _ in range(600)]
+        lines = request_lines(points)
+        assert len("".join(lines)) > select.PIPE_BUF
+        log = tmp_path / "chunks.log"
+        with ExternalProcessOracle([sys.executable, "-c", script, str(log)], space, classes) as oracle:
+            assert oracle.classify_many(points) == ["A"] * 600
+        assert log.read_text().splitlines() == [repr(line.encode()) for line in lines]
+
+    def test_a_request_longer_than_one_atomic_write(self):
+        # 400 real coordinates make one request line of more than PIPE_BUF bytes
+        space = FeatureSpace((FeatureDomain("real", 0, 10),) * 400)
+        script = "import sys\nfor line in sys.stdin: print('B' if line.count(',') == 399 else 'A', flush=True)"
+        rng = random.Random(8)
+        points = [Point(tuple(rng.uniform(0, 10) for _ in range(400))) for _ in range(2)]
+        assert len(request_lines(points[:1])[0]) > select.PIPE_BUF
+        with ExternalProcessOracle(_oracle_script(script), space, ClassOrder(("A", "B"))) as oracle:
+            assert oracle.classify(points[0]) == "B"
+            assert oracle.classify_many(points) == ["B", "B"]
 
     def test_unstartable_command(self):
         space, classes = self.grade_space()

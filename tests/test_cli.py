@@ -87,6 +87,15 @@ class TestExplain:
         assert code == 1
         assert err[0]["error"] == "invalid-input"
 
+    def test_malformed_order_is_an_input_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        code, out, err = run(
+            capsys, "explain", "--spec", spec, "--instance", "10,10,5,0", "--kind", "cxp", "--order", "1,x"
+        )
+        assert (code, out) == (1, [])
+        assert [e["error"] for e in err] == ["invalid-input"]
+        assert "'1,x'" in err[0]["message"]
+
     def test_missing_required_flag(self, tmp_path, capsys):
         code = main(["explain", "--instance", "1,1,1,1", "--kind", "axp"])
         capsys.readouterr()
@@ -222,6 +231,28 @@ class TestProbe:
         assert code == 0
         assert out[0]["seed"] == 31337
 
+    def test_violations_of_an_external_child_are_listed(self, tmp_path, capsys):
+        # the label falls as the one feature rises from 0 to 1
+        child = "import sys\nfor line in sys.stdin: print('hi' if line == '0\\n' else 'lo', flush=True)"
+        spec = write_spec(
+            tmp_path,
+            {
+                "schema": 1,
+                "kind": "external",
+                "command": [sys.executable, "-c", child],
+                "features": [{"kind": "integer", "lower": 0, "upper": 1}],
+                "classes": ["lo", "hi"],
+            },
+        )
+        code, out, _ = run(capsys, "probe", "--spec", spec, "--trials", "20", "--seed", "3")
+        assert code == 0
+        (record,) = out
+        violations = record["violations"]
+        assert record["violation_count"] == len(violations) > 0
+        assert all(
+            v == {"lower": [0], "upper": [1], "lower_label": "hi", "upper_label": "lo"} for v in violations
+        )
+
 
 class TestBench:
     def test_single_grade_row(self, tmp_path, capsys):
@@ -305,6 +336,16 @@ class TestBench:
         (error,) = err
         assert error["error"] == "malformed-row"
         assert error["message"].startswith("line 1: ")
+
+    def test_a_byte_order_mark_is_not_data(self, tmp_path, capsys):
+        # spreadsheet programs save CSV files with one
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        instances = tmp_path / "rows.csv"
+        instances.write_text("\ufeff10,10,5,0\n", encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
+        assert (code, err) == (0, [])
+        assert [(r["type"], r["line"], r["prediction"]) for r in out[:-1]] == [("instance", 1, "A")]
+        assert out[-1]["instances"] == 1 and out[-1]["errors"] == 0
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
         spec = write_spec(tmp_path, MAJORITY_SPEC)
@@ -495,6 +536,17 @@ def test_unopenable_path_is_an_input_error(tmp_path, capsys, argv):
     assert out == []  # every path opens before the work starts
 
 
+@pytest.mark.parametrize("text", [None, '{"schema": 1, "kind": '], ids=["missing", "malformed-json"])
+def test_unreadable_spec_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "clf.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "explain", "--spec", str(path), "--instance", "10,10,5,0", "--kind", "axp")
+    assert (code, out) == (1, [])
+    assert [e["error"] for e in err] == ["invalid-input"]
+    assert str(path) in err[0]["message"]
+
+
 class TestSpecLoading:
     def test_schema_required(self, tmp_path):
         with pytest.raises(SpecError, match="schema"):
@@ -503,6 +555,22 @@ class TestSpecLoading:
     def test_unknown_kind(self):
         with pytest.raises(SpecError, match="kind"):
             build_oracle({"schema": 1, "kind": "mystery"})
+
+    def test_a_byte_order_mark_before_the_spec(self, tmp_path, capsys):
+        path = tmp_path / "clf.json"
+        path.write_text("\ufeff" + json.dumps(GRADE_SPEC), encoding="utf-8")
+        code, out, err = run(capsys, "explain", "--spec", str(path), "--instance", "10,10,5,0", "--kind", "axp")
+        assert (code, err) == (0, [])
+        assert out[0]["features"] == [1, 2]
+
+    def test_a_bound_past_float_range_is_an_input_error(self, tmp_path, capsys):
+        # JSON writes the bound out as its 401 digits
+        spec = {**CONSTANT_SPEC, "features": [{"kind": "integer", "lower": 0, "upper": 10**400}] * 2}
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(capsys, "explain", "--spec", path, "--instance", "0,0", "--kind", "axp")
+        assert (code, out) == (1, [])
+        assert [e["error"] for e in err] == ["invalid-input"]
+        assert "fit in a float" in err[0]["message"]
 
     def test_linear_loads_and_classifies(self, tmp_path, capsys):
         spec = write_spec(

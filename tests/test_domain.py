@@ -61,6 +61,11 @@ class TestFeatureDomain:
         with pytest.raises(ValueError):
             FeatureDomain("real", float("nan"), 1)
 
+    def test_bounds_must_fit_in_a_float(self):
+        for kind, lower, upper in (("integer", 0, 10**400), ("real", -(10**400), 0)):
+            with pytest.raises(ValueError, match="fit in a float"):
+                FeatureDomain(kind, lower, upper)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             FeatureDomain("categorical", 0, 1)
