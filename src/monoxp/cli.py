@@ -92,9 +92,7 @@ def _is_number_text(cell: str) -> bool:
 
 
 def _parse_instance(text: str, oracle: ClassifierOracle) -> Point:
-    point = Point(tuple(map(_parse_value, text.split(","))))
-    oracle.space.validate_point(point)
-    return point
+    return oracle.space.validate_point(Point(tuple(map(_parse_value, text.split(",")))))
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -164,8 +162,8 @@ def cmd_explain(args) -> int:
         v = _parse_instance(args.instance, oracle)
         order = _parse_order(args.order, oracle)
         find = find_axp if args.kind == "axp" else find_cxp
-        expl, counted = _counted(oracle, v, lambda counting, _: find(v, counting, order=order))
         with _output(args.output) as stream:
+            expl, counted = _counted(oracle, v, lambda counting, _: find(v, counting, order=order))
             _emit(
                 stream,
                 _record(
@@ -181,6 +179,10 @@ def cmd_explain(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    # two handles on one file would interleave their writes
+    if args.dump_cnf and args.output not in (None, "-"):
+        if os.path.realpath(args.output) == os.path.realpath(args.dump_cnf):
+            raise ValueError(f"--output and --dump-cnf name the same file: {args.dump_cnf}")
     with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
         order = _parse_order(args.order, oracle)
@@ -234,8 +236,8 @@ def cmd_verify(args) -> int:
             holds = check(features, v, counting)
             return holds, holds and all(not check(features - {i}, v, counting) for i in sorted(features))
 
-        (holds, minimal), counted = _counted(oracle, v, audit)
         with _output(args.output) as stream:
+            (holds, minimal), counted = _counted(oracle, v, audit)
             _emit(
                 stream,
                 _record(
@@ -257,8 +259,8 @@ def cmd_probe(args) -> int:
         seed = args.seed
         if seed is None:
             seed = int(os.environ.get("MONOXP_SEED", "0"))
-        violations = probe_monotonicity(oracle, args.trials, rng_seed=seed)
         with _output(args.output) as stream:
+            violations = probe_monotonicity(oracle, args.trials, rng_seed=seed)
             _emit(
                 stream,
                 _record(
@@ -293,7 +295,7 @@ def _read_instance_rows(path: str) -> list[tuple[int, list]]:
 
 def _bench_one(oracle: ClassifierOracle, line: int, cells: list) -> dict:
     try:
-        point = Point(tuple(map(_parse_value, cells)))
+        point = oracle.space.validate_point(Point(tuple(map(_parse_value, cells))))
         report, counted = _counted(oracle, point, lambda counting, _: enumerate_explanations(point, counting))
     except ValueError as exc:
         return _record("row-error", line=line, message=str(exc))

@@ -123,11 +123,11 @@ class FeatureSpace:
             return self.feature_names[i - 1]
         return f"f{i}"
 
-    def validate_point(self, point: "Point") -> None:
-        # a corner this very space built is in it already; any other point,
-        # a corner of another space or a copy of one included, is checked in full
+    def validate_point(self, point: "Point") -> "Point":
+        # a corner this very space built is in it already and comes back as it is; any other
+        # point, a copy of a corner included, is checked in full and comes back as a corner
         if point._space is self:
-            return
+            return point
         values = point.values
         if len(values) != self.arity:
             raise ValueError(f"point arity {len(values)} differs from space arity {self.arity}")
@@ -138,13 +138,14 @@ class FeatureSpace:
                 and all(map(operator.le, values, self._uppers))
                 and all(map(float.is_integer, map(float, map(values.__getitem__, self._discrete))))
             ):
-                return
+                return _corner(values, self)
         except (TypeError, ValueError):
             pass  # a coordinate of no number type: the loop below raises for the first bad one
         # Rejected: the per-coordinate check names the first bad coordinate.
         for i, (value, dom) in enumerate(zip(values, self.domains), start=1):
             if not dom.contains(value):
                 raise ValueError(f"coordinate {i} value {value!r} outside {dom.kind} domain [{dom.lower}, {dom.upper}]")
+        return _corner(values, self)
 
     def validate_features(self, features: Iterable[int]) -> frozenset[int]:
         out = frozenset(features)

@@ -17,11 +17,11 @@ wrapper's `_ask`, past the memo and batched as `classify_pair` batches, and
 keeps them out of it, so the explainer's invariant check compares them with
 answers of other queries, which catches an oracle that changes its mind.
 
-A run checks v and `order` once, where they enter. The loop hands the
-explainer v as a `Point` that carries the run's space, which then accepts
-it at once. Each model's fixed set, built from the model's indices,
-goes to the corner check unchecked; the seeds the explainer gets are plain
-ints of 1..N, which `validate_features` accepts in two set tests.
+A run checks its arguments once, where they enter. The loop hands the
+explainer the point `validate_point` returned for v, which the run's space
+accepts at once. Each model's fixed set, built from the model's indices,
+goes to the corner check unchecked, and each seed the explainer gets holds
+plain ints of 1..N.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, CountingOracle
-from .domain import Explanation, ExplanationKind, Point, _corner
+from .domain import Explanation, ExplanationKind, Point, _is_int, _is_number
 from .explainer import SeedBreaksInvariant, _box, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
 
@@ -85,19 +85,23 @@ def enumerate_explanations(
     Explanations are handed to `callback` as they are found. A completed run
     reports the full families with no repetitions; `limit` (max explanations)
     or `budget` (wall-clock seconds) cut the run short, yielding a prefix of
-    a complete enumeration flagged complete=False. `oracle_calls` counts
+    a complete enumeration flagged complete=False; a `limit` that is no
+    non-negative int or a negative or NaN `budget` is a ValueError before
+    any call. `oracle_calls` counts
     the calls that reached the oracle, `cache_hits` the explainer's queries
     the run's memo answered instead. `classify_seconds` is the wall time
     spent in the oracle's calls, `sat_seconds` the wall time spent in the
     loop's satisfiability calls.
     """
+    if limit is not None and not (_is_int(limit) and limit >= 0):
+        raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
+    if budget is not None and not (_is_number(budget) and budget >= 0):
+        raise ValueError(f"budget must be a non-negative number of seconds, got {budget!r}")
     counted = CountingOracle(oracle, cache=True)
     space = counted.space
-    space.validate_point(v)
+    v = space.validate_point(v)
     if order is not None:
         order = space.validate_order(order)
-    # checked, so as a corner of the run's space it passes the explainer's check at once
-    v = _corner(v.values, space)
     all_features = space._feature_set
     formula = CnfFormula(space.arity)
     report = EnumerationReport(formula=formula)
@@ -201,7 +205,7 @@ def brute_force_explanations(
     subset-minimal freeing sets that admit a change (CXps).
     """
     space = oracle.space
-    space.validate_point(v)
+    v = space.validate_point(v)
     n = space.arity
     if n > max_features:
         raise ValueError(f"{n} features exceed the brute-force cap of {max_features}")

@@ -43,8 +43,7 @@ def corner_points(space: FeatureSpace, v: Point, fixed: Iterable[int]) -> tuple[
     Free features range over their whole domain, so the lower corner takes
     the domain minima and the upper corner the maxima.
     """
-    space.validate_point(v)
-    return _box(space, v, space.validate_features(fixed))
+    return _box(space, space.validate_point(v), space.validate_features(fixed))
 
 
 def _box(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[Point, Point]:

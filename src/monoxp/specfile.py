@@ -77,6 +77,9 @@ def _construct(kind: str, spec: dict) -> ClassifierOracle:
                 _parse_space(spec["features"]).domains == oracle.space.domains,
                 "the grade classifier has four real features bounded [0, 10]",
             )
+            # the records name the built-in features, so a given name must be that one
+            names = [entry.get("name", name) for entry, name in zip(spec["features"], oracle.space.feature_names)]
+            _require(names == list(oracle.space.feature_names), "the grade features are quiz, exam, homework, project")
         if "classes" in spec:
             _require(
                 _parse_classes(spec["classes"]) == oracle.classes,

@@ -518,22 +518,61 @@ class TestExternalOracle:
         assert code == 3
 
 
+def logging_grade_spec(log) -> dict:
+    """The grade model as an external child that logs its requests to `log`."""
+    return {
+        "schema": 1,
+        "kind": "external",
+        "command": logging_grade_command(log),
+        "features": [{"kind": "real", "lower": 0, "upper": 10}] * 4,
+        "classes": list("FEDCBA"),
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["bench", "--instances", "{missing}/rows.csv"],
         ["explain", "--instance", "10,10,5,0", "--kind", "axp", "--output", "{missing}/out.jsonl"],
         ["enumerate", "--instance", "10,10,5,0", "--dump-cnf", "{missing}/blocking.cnf"],
+        ["verify", "--instance", "10,10,5,0", "--features", "1,2", "--kind", "axp", "--output", "{missing}/out.jsonl"],
+        ["probe", "--trials", "5", "--output", "{missing}/out.jsonl"],
+        ["enumerate", "--instance", "10,10,5,0", "--output", "{missing}/out.jsonl"],
     ],
 )
 def test_unopenable_path_is_an_input_error(tmp_path, capsys, argv):
-    spec = write_spec(tmp_path, GRADE_SPEC)
+    log = tmp_path / "requests.log"
+    spec = write_spec(tmp_path, logging_grade_spec(log))
     missing = tmp_path / "no-such-dir"
     code, out, err = run(capsys, *[a.format(missing=missing) for a in argv], "--spec", spec)
     assert code == 1
-    assert err[-1]["error"] == "invalid-input"
+    assert [e["error"] for e in err] == ["invalid-input"]
     assert str(missing) in err[-1]["message"]
-    assert out == []  # every path opens before the work starts
+    # every path opens before the work starts: nothing is written, nothing asked
+    assert out == []
+    assert not log.exists()
+
+
+def test_enumerate_output_and_dump_on_one_file_is_refused(tmp_path, capsys, monkeypatch):
+    log = tmp_path / "requests.log"
+    spec = write_spec(tmp_path, logging_grade_spec(log))
+    target = tmp_path / "out.jsonl"
+    (tmp_path / "link.jsonl").symlink_to(target)
+    monkeypatch.chdir(tmp_path)
+    for dump in (str(target), "out.jsonl", str(tmp_path / "link.jsonl"), f"{tmp_path}/../{tmp_path.name}/out.jsonl"):
+        argv = ["enumerate", "--spec", spec, "--instance", "10,10,5,0", "--output", str(target), "--dump-cnf", dump]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, [])
+        assert [e["error"] for e in err] == ["invalid-input"]
+        assert "same file" in err[0]["message"]
+        assert not target.exists()  # refused before either path opens
+    assert not log.exists()
+    # two different files still both get written
+    code, out, err = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0", "--output", str(target),
+                         "--dump-cnf", "blocking.cnf")
+    assert (code, out, err) == (0, [], [])
+    assert [json.loads(line)["type"] for line in target.read_text().splitlines()][-1] == "summary"
+    assert (tmp_path / "blocking.cnf").read_text().startswith("p cnf 4 ")
 
 
 @pytest.mark.parametrize("text", [None, '{"schema": 1, "kind": '], ids=["missing", "malformed-json"])
@@ -631,17 +670,34 @@ class TestSpecLoading:
                 }
             )
 
-    def test_grade_shape_checked(self):
+    def test_grade_shape_checked(self, tmp_path, capsys):
         real = {"kind": "real", "lower": 0, "upper": 10.0}
         matching = {"features": [real] * 4, "classes": list("FEDCBA")}
         assert build_oracle({"schema": 1, "kind": "grade", **matching}).classes.labels == tuple("FEDCBA")
+        names = ("quiz", "exam", "homework", "project")
+        named = [{**real, "name": name} for name in names]
+        for features in (named, [named[0], real, named[2], real]):
+            assert build_oracle({"schema": 1, "kind": "grade", "features": features}).space.feature_names == names
+        renamed = (
+            [{**real, "name": name} for name in ("a", "b", "c", "d")],
+            named[::-1],
+            [real, {**real, "name": "midterm"}, real, real],
+            [{**real, "name": 1}, real, real, real],
+        )
         for mismatch in (
             {"features": [{"name": "a", "kind": "real", "lower": 0, "upper": 5}]},
             {"features": [{**real, "kind": "integer", "upper": 10}] * 4},
             {"classes": "FEDCBA"},
+            *({"features": features} for features in renamed),
         ):
             with pytest.raises(SpecError):
                 build_oracle({"schema": 1, "kind": "grade", **mismatch})
+        # a renamed feature would go out under its built-in name in every record
+        spec = write_spec(tmp_path, {**GRADE_SPEC, "features": renamed[0]})
+        code, out, err = run(capsys, "explain", "--spec", spec, "--instance", "10,10,5,0", "--kind", "axp")
+        assert (code, out) == (1, [])
+        assert [e["error"] for e in err] == ["invalid-input"]
+        assert "quiz, exam, homework, project" in err[0]["message"]
 
     @pytest.mark.parametrize(
         "spec, instance",

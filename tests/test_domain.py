@@ -94,6 +94,26 @@ class TestSpaceAndPoints:
         with pytest.raises(ValueError):
             space.validate_point(Point((1.5, 0.5)))
 
+    def test_validate_point_hands_back_the_point_it_checked(self):
+        space = FeatureSpace((FeatureDomain("integer", 0, 5), FeatureDomain("real", 0, 1)))
+        for corner in corner_points(space, Point((2, 0.25)), {1}):
+            assert space.validate_point(corner) is corner
+        v = Point((2, 0.25))
+        checked = space.validate_point(v)
+        assert type(checked) is Point and checked == v and checked is not v
+        assert [(type(x), x) for x in checked.values] == [(int, 2), (float, 0.25)]
+        assert hash(checked) == hash(v) and repr(checked) == repr(v)
+        # an equal space checks it in full and hands back its own point
+        twin = FeatureSpace(space.domains)
+        again = twin.validate_point(checked)
+        assert again == v and again is not checked and twin.validate_point(again) is again
+        # the space takes its point without a check: with its domains gone,
+        # that point still passes, and the caller's point no longer does
+        object.__setattr__(space, "domains", ())
+        assert space.validate_point(checked) is checked
+        with pytest.raises(ValueError, match="^point arity 2 differs from space arity 0$"):
+            space.validate_point(v)
+
     def test_validate_features(self):
         space = boolean_space(3)
         assert space.validate_features([3, 1]) == frozenset({1, 3})
@@ -566,6 +586,14 @@ class TestValidationAtTheBoundary:
         copied = duplicate(forged)
         assert type(copied) is Point and copied == Point((1, 4, 3))
         assert _outcome(space.validate_point, copied) == (ValueError, "coordinate 2 value 4 outside integer domain [0, 3]")
+        # so is a copy of a point validate_point handed back: the space
+        # checks it and hands back a point of its own, not the copy
+        checked = space.validate_point(Point((1, 2, 3)))
+        assert space.validate_point(checked) is checked
+        copied = duplicate(checked)
+        assert type(copied) is Point and copied == checked
+        again = space.validate_point(copied)
+        assert again == checked and again is not copied and again is not checked
 
     def test_a_corner_handed_to_a_narrower_space_raises(self):
         wide = FeatureSpace((FeatureDomain("integer", 0, 5),) * 3)

@@ -78,6 +78,29 @@ class TestCornerCases:
         report = enumerate_explanations(Point((10, 10, 5, 0)), Slow(), budget=0.01)
         assert not report.complete
 
+    @pytest.mark.parametrize(
+        "cut",
+        [{"limit": -1}, {"limit": 1.0}, {"limit": True}, {"limit": "1"},
+         {"budget": -0.5}, {"budget": float("nan")}, {"budget": "1"}],
+        ids=repr,
+    )
+    def test_a_bad_limit_or_budget_is_rejected_before_any_call(self, monkeypatch, cut):
+        class Refusing(GradeClassifier):
+            def classify(self, point):
+                raise AssertionError("the oracle was asked")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver was called")
+
+        monkeypatch.setattr(monoxp.enumeration, "solve", no_solve)
+        with pytest.raises(ValueError, match=f"^{next(iter(cut))} must be"):
+            enumerate_explanations(Point((10, 10, 5, 0)), Refusing(), **cut)
+
+    def test_edge_limit_and_budget_values_are_accepted(self, grade):
+        assert enumerate_explanations(Point((10, 10, 5, 0)), grade, limit=0).sat_calls == 0
+        assert enumerate_explanations(Point((10, 10, 5, 0)), grade, budget=0).sat_calls <= 1
+        assert enumerate_explanations(Point((10, 10, 5, 0)), grade, budget=float("inf")).complete
+
     def test_nondeterministic_oracle_is_reported(self):
         # equal corner labels pick the abductive branch, then the answers
         # change under the explainer's feet
