@@ -35,9 +35,6 @@ class ClassifierOracle(abc.ABC):
 
     space: FeatureSpace
     classes: ClassOrder
-    # True when classify_many answers a batch in fewer round trips than
-    # classify would; classify_pair and CountingOracle batch only for such oracles.
-    batches: bool = False
 
     @abc.abstractmethod
     def classify(self, point: Point) -> str:
@@ -55,14 +52,6 @@ class ClassifierOracle(abc.ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def classify_pair(oracle: ClassifierOracle, a: Point, b: Point) -> tuple[str, str]:
-    """Labels for a, then b: one classify_many call if the oracle batches, else two classify calls."""
-    if getattr(oracle, "batches", False):
-        label_a, label_b = oracle.classify_many((a, b))
-        return label_a, label_b
-    return oracle.classify(a), oracle.classify(b)
 
 
 class GradeClassifier(ClassifierOracle):
@@ -246,14 +235,12 @@ class ExternalProcessOracle(ClassifierOracle):
     every point before the child starts or hears of any, then sends each
     write whole and reads all its answers before checking one. A batch of
     at most PIPE_BUF bytes is one write, so the child must answer each line
-    as it reads it rather than wait for more input (the corner check sends
-    both corners of a box that way); a longer one goes a request per write.
+    as it reads it rather than wait for more input (probe_monotonicity sends
+    each sampled pair that way); a longer one goes a request per write.
     The feature space and class order come from a sidecar description,
     never from the process. Any malformed response, unknown label, or early
     exit raises OracleError.
     """
-
-    batches = True
 
     def __init__(self, command: str | Sequence[str], space: FeatureSpace, classes: ClassOrder) -> None:
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
@@ -348,22 +335,21 @@ class CountingOracle(ClassifierOracle):
 
     Cache hits are counted apart, in `cache_hits`, not in `call_count`, and
     never change answers (inner oracles are deterministic). Also accumulates
-    wall time spent inside the inner oracle. Batches when the inner oracle
-    does: classify_many counts, caches and asks the inner oracle exactly as
-    classify on each point in turn would. Not shareable across threads.
+    wall time spent inside the inner oracle. classify_many is classify on
+    each point in turn, so it counts and caches alike. Not shareable across
+    threads.
 
     An enumeration run keeps one such wrapper, with the memo. The explainer
-    asks through the memo; the loop asks each model's corner pair through
-    `_ask`, which goes past the memo and leaves nothing in it, under
-    `classify_pair`'s batching rule, so the explainer's start check asks the
-    oracle again and a changed answer shows.
+    asks through the memo; the loop asks each model's corners through
+    `_fresh`, which goes past the memo and leaves nothing in it, so the
+    explainer's start check asks the oracle again and a changed answer
+    shows.
     """
 
     def __init__(self, inner: ClassifierOracle, cache: bool = False) -> None:
         self.inner = inner
         self.space = inner.space
         self.classes = inner.classes
-        self.batches = getattr(inner, "batches", False)
         self.call_count = 0
         self.cache_hits = 0
         self.classify_seconds = 0.0
@@ -374,40 +360,18 @@ class CountingOracle(ClassifierOracle):
         if self._cache is not None and key in self._cache:
             self.cache_hits += 1
             return self._cache[key]
-        start = time.perf_counter()
-        label = self.inner.classify(point)
-        self.classify_seconds += time.perf_counter() - start
-        self.call_count += 1
+        label = self._fresh(point)
         if self._cache is not None:
             self._cache[key] = label
         return label
 
-    def classify_many(self, points: Sequence[Point]) -> list[str]:
-        cache = self._cache
-        if cache is None:
-            return self._ask(points)
-        # a point asked earlier in the batch is a hit, as it would be in turn
-        misses: dict[tuple[Number, ...], Point] = {}
-        for point in points:
-            if point.values not in cache:
-                misses.setdefault(point.values, point)
-        self.cache_hits += len(points) - len(misses)
-        if misses:
-            cache.update(zip(misses, self._ask(list(misses.values()))))
-        return [cache[point.values] for point in points]
-
-    def _ask(self, points: Sequence[Point]) -> list[str]:
-        """The inner oracle's labels, counted and timed, neither read from nor
-        kept in the memo: one classify_many call when the inner oracle
-        batches and there are several points, else classify on each."""
+    def _fresh(self, point: Point) -> str:
+        """The inner oracle's label, counted and timed, neither read from nor kept in the memo."""
         start = time.perf_counter()
-        if self.batches and len(points) > 1:
-            labels = self.inner.classify_many(points)
-        else:
-            labels = [self.inner.classify(point) for point in points]
+        label = self.inner.classify(point)
         self.classify_seconds += time.perf_counter() - start
-        self.call_count += len(points)
-        return labels
+        self.call_count += 1
+        return label
 
 
 @dataclass(frozen=True)
@@ -423,8 +387,9 @@ class MonotonicityViolation:
 def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0) -> list[MonotonicityViolation]:
     """Sample comparable point pairs and report label-order violations.
 
-    Builds pairs a <= b by construction, asks each through classify_pair,
-    and checks rank(a) <= rank(b). An empty result is evidence, not a
+    Builds pairs a <= b by construction, asks each through one classify_many
+    call, so a child process gets the pair in one write, and checks
+    rank(a) <= rank(b). An empty result is evidence, not a
     proof, of monotonicity.
     """
     import random
@@ -437,7 +402,7 @@ def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0)
     for _ in range(trials):
         a = Point(tuple(d.sample(rng) for d in space.domains))
         b = Point(tuple(d.sample(rng, lower=x) for d, x in zip(space.domains, a.values)))
-        label_a, label_b = classify_pair(oracle, a, b)
+        label_a, label_b = oracle.classify_many((a, b))
         if oracle.classes.rank(label_a) > oracle.classes.rank(label_b):
             violations.append(MonotonicityViolation(a, b, label_a, label_b))
     return violations

@@ -178,11 +178,20 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
+def _same_file(output: Optional[str], path: str) -> bool:
+    """Does `path` name the file the records go to: --output, else stdout's, if it has a descriptor?"""
+    if output not in (None, "-"):
+        return os.path.realpath(output) == os.path.realpath(path)
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
 def cmd_enumerate(args) -> int:
     # two handles on one file would interleave their writes
-    if args.dump_cnf and args.output not in (None, "-"):
-        if os.path.realpath(args.output) == os.path.realpath(args.dump_cnf):
-            raise ValueError(f"--output and --dump-cnf name the same file: {args.dump_cnf}")
+    if args.dump_cnf and _same_file(args.output, args.dump_cnf):
+        raise ValueError(f"--output and --dump-cnf name the same file: {args.dump_cnf}")
     with build_oracle(load_spec(args.spec)) as oracle:
         v = _parse_instance(args.instance, oracle)
         order = _parse_order(args.order, oracle)

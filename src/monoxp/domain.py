@@ -163,7 +163,7 @@ class FeatureSpace:
         """A feature scan order, which must be a permutation of 1..N."""
         out = tuple(order)
         _require_ints(out, "order entries")
-        if sorted(out) != list(self.features):
+        if len(out) != self.arity or set(out) != self._feature_set:
             raise ValueError(f"order must be a permutation of 1..{self.arity}")
         return out
 

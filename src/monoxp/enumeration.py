@@ -2,20 +2,21 @@
 checker and the exhaustive reference enumerator used to validate it.
 
 The loop keeps a CNF over one selector variable per feature (1 = free,
-0 = fixed). Each model picks a feature split; a two-call corner check decides
-whether the fixed side forces the prediction (then the split extends to an
-abductive explanation) or the free side admits a change (then it extends to
-a contrastive one). Each reported explanation adds one blocking clause:
-positive over an AXp's features, negative over a CXp's. One extra
-satisfiability call proves completion, so a finished run makes exactly
-len(axps) + len(cxps) + 1 solver calls.
+0 = fixed). Each model picks a feature split; a corner check of one or two
+calls decides whether the fixed side forces the prediction (then the split
+extends to an abductive explanation) or the free side admits a change (then
+it extends to a contrastive one). Each reported explanation adds one
+blocking clause: positive over an AXp's features, negative over a CXp's.
+One extra satisfiability call proves completion, so a finished run makes
+exactly len(axps) + len(cxps) + 1 solver calls.
 
-A run keeps one `CountingOracle` with a memo that lives for the run. The
-explainer asks through the memo, so a point reaches the oracle once per
-run, except the loop's two corners: the loop asks them through the
-wrapper's `_ask`, past the memo and batched as `classify_pair` batches, and
-keeps them out of it, so the explainer's invariant check compares them with
-answers of other queries, which catches an oracle that changes its mind.
+A run keeps one `CountingOracle` with a memo that lives for the run, and
+asks v's label once through it. The explainer asks through the memo, so a
+point reaches the oracle once per run, except the loop's corners: the loop
+asks them through the wrapper's `_fresh`, past the memo, one at a time and
+never skipping the lower one, and keeps them out of it, so the explainer's
+invariant check compares them with answers of other queries, which catches
+an oracle that changes its mind.
 
 A run checks its arguments once, where they enter. The loop hands the
 explainer the point `validate_point` returned for v, which the run's space
@@ -33,19 +34,20 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, CountingOracle
 from .domain import Explanation, ExplanationKind, Point, _is_int, _is_number
-from .explainer import SeedBreaksInvariant, _box, find_axp, find_cxp, verify_axp
+from .explainer import SeedBreaksInvariant, _agrees, _box, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
 
 
 class InternalConsistencyError(RuntimeError):
     """A solver model led to a seed the explainer rejected.
 
-    The explainer's seed box is the box whose two corners the loop has just
+    The explainer's seed box is the box whose corners the loop has just
     classified, so it rejects the seed only when the oracle answers the same
     point differently on a second query. The loop asks the corners past the
-    run's memo and keeps them out of it; the explainer's answer is a fresh
-    oracle call, or the memo's copy of an earlier call in the same run. A
-    deterministic oracle, monotone or not, never raises this.
+    run's memo and keeps them out of it; the explainer asks again each
+    corner the loop asked, and its answer is a fresh oracle call, or the
+    memo's copy of an earlier call in the same run. A deterministic oracle,
+    monotone or not, never raises this.
     """
 
 
@@ -106,6 +108,7 @@ def enumerate_explanations(
     formula = CnfFormula(space.arity)
     report = EnumerationReport(formula=formula)
     start = time.perf_counter()
+    pred = counted.classify(v)
     while True:
         if limit is not None and len(report.axps) + len(report.cxps) >= limit:
             break
@@ -119,9 +122,8 @@ def enumerate_explanations(
             report.complete = True
             break
         fixed = frozenset(i for i in space.features if model[i - 1] == 0)
-        low_label, up_label = counted._ask(_box(space, v, fixed))
         try:
-            if low_label == up_label:
+            if _agrees(counted._fresh, *_box(space, v, fixed), pred):
                 # the fixed side forces the prediction: some AXp inside it
                 expl = find_axp(v, counted, seed=all_features - fixed, order=order)
                 report.axps.append(expl)

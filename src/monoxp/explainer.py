@@ -2,22 +2,24 @@
 or one contrastive explanation.
 
 A box pins each feature to its value in v or frees it over its whole
-domain. For a monotonic oracle the box forces the prediction exactly when
-its two corners get the same label: `verify_axp`/`verify_cxp` and the scan
-ask both through `classify_pair` and compare the labels. The enumeration
-loop builds its boxes with `_box` too. An AXp scan starts from the box
-pinned to v and tries to free each feature; a CXp scan starts from the
-whole box and tries to pin each feature. Each scanned feature costs exactly
-two oracle calls, so a full run costs at most 2N+2 calls including the two
-that establish the starting invariant. A corner carries the space that
-built it from a validated v, which then does not check it again.
+domain. For a monotonic oracle and a box that holds v, the lower corner's
+label is at most v's and the upper corner's at least v's, so the box
+forces the prediction exactly when both corners carry v's label.
+`verify_axp`/`verify_cxp` compare the two corners' labels; the scan and
+the enumeration loop ask through `_agrees`, which stops at the first
+corner that differs from v's label. An AXp scan starts from the box pinned
+to v and tries to free each feature; a CXp scan starts from the whole box
+and tries to pin each feature. Each scanned feature costs at most two
+oracle calls, so a run costs at most 2N+2 calls including those that
+establish the starting invariant. A corner carries the space that built it
+from a validated v, which then does not check it again.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .classifiers import ClassifierOracle, classify_pair
+from .classifiers import ClassifierOracle
 from .domain import Explanation, ExplanationKind, FeatureSpace, Point, _corner
 
 
@@ -64,8 +66,8 @@ def verify_axp(features: Iterable[int], v: Point, oracle) -> bool:
     For a monotonic oracle this is decided with two calls, at the corners of
     the box spanned by the free features. Minimality is not checked.
     """
-    low_label, up_label = classify_pair(oracle, *corner_points(oracle.space, v, features))
-    return low_label == up_label
+    low, up = corner_points(oracle.space, v, features)
+    return oracle.classify(low) == oracle.classify(up)
 
 
 def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
@@ -79,6 +81,13 @@ def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
     return not verify_axp(frozenset(oracle.space.features) - freed, v, oracle)
 
 
+def _agrees(ask: Callable[[Point], str], low: Point, up: Point, pred: str, low_known: bool = False) -> bool:
+    """Do both corners of a box that holds v carry v's label `pred`, that is,
+    for a monotonic oracle, does the box force the prediction? The lower
+    corner is asked first, unless `low_known`, and decides alone if it differs."""
+    return (low_known or ask(low) == pred) and ask(up) == pred
+
+
 def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, order) -> Explanation:
     """find_axp and find_cxp: validate, check the start box, scan toward the target box.
 
@@ -87,23 +96,36 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
     only the seed pinned, where they must differ, and pins features to v.
     A feature whose move changes whether the corners agree is moved back
     and picked.
+
+    An AXp scan takes v's label from its start corners. A CXp scan asks v;
+    once its start box's lower corner carries v's label, so does every later
+    one, as the boxes only shrink toward v, and it asks upper corners alone.
     """
     space = oracle.space
-    space.validate_point(v)
+    v = space.validate_point(v)
     seed_set = space.validate_features(seed)
     order_seq = tuple(space.features) if order is None else space.validate_order(order)
     everything = space._feature_set
     agree = kind is ExplanationKind.AXP
-    start = _box(space, v, everything - seed_set if agree else seed_set)
-    low_label, up_label = classify_pair(oracle, *start)
-    if (low_label == up_label) != agree:
+    ask = oracle.classify
+    start_low, start_up = _box(space, v, everything - seed_set if agree else seed_set)
+    if agree:
+        pred = ask(start_low)
+        low_known = False
+        holds = ask(start_up) == pred
+    else:
+        pred = ask(v)
+        # a start box of v alone has v for its lower corner
+        low_known = seed_set == everything or ask(start_low) == pred
+        holds = low_known and ask(start_up) == pred
+    if holds != agree:
         if agree:
             raise SeedBreaksInvariant(f"freeing seed {sorted(seed_set)} already changes the prediction")
         if not seed_set:
             raise NoCxpExists("the classifier is constant over the feature space box")
         raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
     target_low, target_up = (space._lowers, space._uppers) if agree else (v.values, v.values)
-    low, up = list(start[0].values), list(start[1].values)
+    low, up = list(start_low.values), list(start_up.values)
     picked = set()
     for i in order_seq:
         if i in seed_set:
@@ -111,8 +133,7 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         j = i - 1
         was = low[j], up[j]
         low[j], up[j] = target_low[j], target_up[j]
-        low_label, up_label = classify_pair(oracle, _corner(tuple(low), space), _corner(tuple(up), space))
-        if (low_label == up_label) != agree:
+        if _agrees(ask, _corner(tuple(low), space), _corner(tuple(up), space), pred, low_known) != agree:
             low[j], up[j] = was
             picked.add(i)
     return Explanation(kind, frozenset(picked))

@@ -320,8 +320,6 @@ class TestCountingOracle:
 class BatchRecording(ClassifierOracle):
     """The grade model, keeping every point asked and how each batch arrived."""
 
-    batches = True
-
     def __init__(self):
         self.inner = GradeClassifier()
         self.space = self.inner.space
@@ -345,10 +343,6 @@ _GRADE_POINTS = st.tuples(*[st.sampled_from((0, 5, 10))] * 4).map(Point)
 
 
 class TestCountingOracleBatches:
-    def test_forwards_whether_the_inner_oracle_batches(self, grade):
-        assert not CountingOracle(grade).batches
-        assert CountingOracle(CountingOracle(BatchRecording())).batches
-
     @given(batches=st.lists(st.lists(_GRADE_POINTS, max_size=4), max_size=6), cache=st.booleans())
     def test_same_as_classify_in_turn(self, batches, cache):
         one_by_one, batched = BatchRecording(), BatchRecording()
@@ -358,8 +352,6 @@ class TestCountingOracleBatches:
             assert counting.classify_many(batch) == [sequential.classify(p) for p in batch]
         assert (counting.call_count, counting.cache_hits) == (sequential.call_count, sequential.cache_hits)
         assert batched.points == one_by_one.points
-        # what the memo could not answer reaches the inner oracle in one call
-        assert len(batched.batch_sizes) <= len(batches)
 
     def test_a_point_repeated_in_the_batch_is_a_hit(self):
         inner = BatchRecording()
@@ -419,17 +411,15 @@ class TestProber:
             assert point_leq(violation.lower, violation.upper)
             assert broken.classes.rank(violation.lower_label) > broken.classes.rank(violation.upper_label)
 
-    def test_a_batching_oracle_gets_the_same_requests(self, grade, tmp_path):
+    def test_a_child_gets_each_pair_in_turn(self, tmp_path):
         # each pair goes out through classify_many; the child must receive
-        # the lines the one-at-a-time path sends, in the same order
-        logs = {}
-        for batches in (True, False):
-            logs[batches] = tmp_path / f"requests-{batches}.log"
-            with logging_grade_oracle(logs[batches]) as oracle:
-                oracle.batches = batches
-                assert probe_monotonicity(oracle, 40, rng_seed=11) == probe_monotonicity(grade, 40, rng_seed=11)
-        assert len(logged_requests(logs[True])) == 80
-        assert logged_requests(logs[True]) == logged_requests(logs[False])
+        # both lines of every pair, lower point first, in the order drawn
+        log = tmp_path / "requests.log"
+        recorder = BatchRecording()
+        with logging_grade_oracle(log) as oracle:
+            assert probe_monotonicity(oracle, 40, rng_seed=11) == probe_monotonicity(recorder, 40, rng_seed=11)
+        assert recorder.batch_sizes == [2] * 40
+        assert logged_requests(log) == request_lines(recorder.points)
 
     def test_a_pair_is_one_write(self, tmp_path):
         # the child reads raw chunks and answers every line with a label
@@ -503,7 +493,6 @@ class TestExternalProcessOracle:
         rng = random.Random(6)
         points = [Point(tuple(rng.randint(0, 10) for _ in range(4))) for _ in range(600)]
         with logging_grade_oracle(tmp_path / "requests.log") as oracle:
-            assert oracle.batches
             assert oracle.classify_many(points[:2]) == [grade.classify(p) for p in points[:2]]
             # past one atomic pipe write the requests go one at a time
             assert len("".join(f"{','.join(map(str, p))}\n" for p in points)) > select.PIPE_BUF

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import GRADE_CHILD, logged_requests, logging_grade_command
 
+import monoxp
 from monoxp import GradeClassifier, Point, SpecError, build_oracle, verify_axp, verify_cxp
 from monoxp.cli import main
 
@@ -122,8 +126,8 @@ class TestEnumerate:
         spec = write_spec(tmp_path, GRADE_SPEC)
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
         assert code == 0
-        # the prediction plus the run's 15 calls; the memo answered 15 more
-        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (16, 15)
+        # the prediction plus the run's 12 calls; the memo answered 10 more
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 10)
 
     def test_summary_times_the_solver(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
@@ -274,7 +278,7 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
         assert code == 0
         *rows, aggregate = out
-        assert rows[0]["cache_hits"] == 15
+        assert rows[0]["cache_hits"] == 10
         assert aggregate["cache_hits_avg"] == sum(r["cache_hits"] for r in rows) / 3
 
     def test_aggregate_sums_the_solver_time(self, tmp_path, capsys):
@@ -572,6 +576,37 @@ def test_enumerate_output_and_dump_on_one_file_is_refused(tmp_path, capsys, monk
                          "--dump-cnf", "blocking.cnf")
     assert (code, out, err) == (0, [], [])
     assert [json.loads(line)["type"] for line in target.read_text().splitlines()][-1] == "summary"
+    assert (tmp_path / "blocking.cnf").read_text().startswith("p cnf 4 ")
+
+
+def run_cli_process(argv, stdout):
+    """The CLI in a child interpreter, its stdout on `stdout`; stderr is captured."""
+    src = str(Path(monoxp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    command = [sys.executable, "-c", "import sys; from monoxp.cli import main; sys.exit(main())", *argv]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_enumerate_refuses_a_dump_into_its_own_stdout(tmp_path):
+    # with no --output the records go to stdout, so a dump there would mix
+    # DIMACS lines into the JSON Lines stream
+    spec = write_spec(tmp_path, GRADE_SPEC)
+    argv = ["enumerate", "--spec", spec, "--instance", "10,10,5,0", "--dump-cnf"]
+    target = tmp_path / "out.jsonl"
+    # /dev/stdout on a pipe, then the very file stdout is redirected to
+    piped = run_cli_process([*argv, "/dev/stdout"], subprocess.PIPE)
+    with open(target, "wb") as out:
+        redirected = run_cli_process([*argv, str(target)], out)
+    for done, written in ((piped, piped.stdout), (redirected, target.read_bytes())):
+        assert (done.returncode, written) == (1, b"")
+        (error,) = [json.loads(line) for line in done.stderr.decode().splitlines() if line.startswith("{")]
+        assert error["error"] == "invalid-input" and "same file" in error["message"]
+    # a dump to another file still goes through
+    with open(target, "wb") as out:
+        done = run_cli_process([*argv, str(tmp_path / "blocking.cnf")], out)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(target.read_text().splitlines()[-1])["type"] == "summary"
     assert (tmp_path / "blocking.cnf").read_text().startswith("p cnf 4 ")
 
 

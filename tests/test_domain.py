@@ -412,11 +412,10 @@ def test_dichotomy_on_integer_domains():
 class PointRecorder(ClassifierOracle):
     """Keeps every point it is asked, as asked, then asks the inner model."""
 
-    def __init__(self, inner, batches=False):
+    def __init__(self, inner):
         self.inner = inner
         self.space = inner.space
         self.classes = inner.classes
-        self.batches = batches
         self.points = []
 
     def classify(self, point):
@@ -432,8 +431,8 @@ def _member(dom):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_DOMAINS, min_size=1, max_size=4), st.booleans(), st.data())
-def test_every_point_sent_to_an_oracle_lies_in_its_space(domains, batches, data):
+@given(st.lists(_DOMAINS, min_size=1, max_size=4), st.data())
+def test_every_point_sent_to_an_oracle_lies_in_its_space(domains, data):
     # the corners the library builds skip the oracle's check, so each one
     # must pass the per-coordinate reference, and behave as the plain Point
     space = FeatureSpace(tuple(domains))
@@ -441,7 +440,7 @@ def test_every_point_sent_to_an_oracle_lies_in_its_space(domains, batches, data)
     weights = data.draw(st.lists(st.one_of(st.integers(0, 3), st.floats(0, 3)), min_size=space.arity, max_size=space.arity))
     thresholds = sorted(data.draw(st.sets(st.one_of(st.integers(-6, 12), st.floats(-6, 12)), max_size=2)))
     clf = LinearThresholdClassifier(space, weights, thresholds, ClassOrder(("a", "b", "c")[: len(thresholds) + 1]))
-    oracle = PointRecorder(clf, batches)
+    oracle = PointRecorder(clf)
     features = data.draw(st.sets(st.sampled_from(list(space.features))))
     order = data.draw(st.permutations(list(space.features)))
     corners = corner_points(space, v, features)
