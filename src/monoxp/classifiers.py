@@ -2,10 +2,9 @@
 a counting/caching wrapper, and a randomized monotonicity prober.
 
 An oracle is a black box: the only interaction is classify(point) -> label,
-or classify_many(points) -> labels for several points at once. Monotonicity
-is assumed by the explanation algorithms, never enforced here;
-`probe_monotonicity` offers a sampling-based sanity check. Oracles are meant
-to be used from one thread at a time.
+one point per call. Monotonicity is assumed by the explanation algorithms,
+never enforced here; `probe_monotonicity` offers a sampling-based sanity
+check. Oracles are meant to be used from one thread at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import abc
 import math
 import operator
 import os
-import select
 import shlex
 import subprocess
 import time
@@ -39,10 +37,6 @@ class ClassifierOracle(abc.ABC):
     @abc.abstractmethod
     def classify(self, point: Point) -> str:
         """Label for a point; identical points must yield identical labels."""
-
-    def classify_many(self, points: Sequence[Point]) -> list[str]:
-        """Labels for several points, in order: classify on each in turn."""
-        return [self.classify(point) for point in points]
 
     def close(self) -> None:
         """Release held resources such as a child process; a no-op for in-process models."""
@@ -215,10 +209,6 @@ def _format_coordinate(value: Number) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-# a pipe write up to this size is atomic: it goes in whole or not at all
-# (POSIX promises at least 512 bytes; Linux gives 4096)
-_PIPE_BUF = getattr(select, "PIPE_BUF", 512)
-
 # how many coordinate texts an external oracle keeps: enough for every value
 # of small integer domains, bounded for real ones
 _KEPT_TEXTS = 1024
@@ -230,16 +220,13 @@ class ExternalProcessOracle(ClassifierOracle):
     Line protocol over the child's standard streams, UTF-8:
       request  "v1,v2,...,vN\\n"  (decimal numbers, '.' separator; integers exact)
       response "LABEL\\n"          (one of the declared class labels; "\\r\\n" accepted)
-    One classification per request line, answered in order. classify asks
-    for one point through classify_many, whose one loop checks and formats
-    every point before the child starts or hears of any, then sends each
-    write whole and reads all its answers before checking one. A batch of
-    at most PIPE_BUF bytes is one write, so the child must answer each line
-    as it reads it rather than wait for more input (probe_monotonicity sends
-    each sampled pair that way); a longer one goes a request per write.
-    The feature space and class order come from a sidecar description,
-    never from the process. Any malformed response, unknown label, or early
-    exit raises OracleError.
+    One point per request line, one answer line per request: classify
+    checks and formats its point before the child starts or hears of it,
+    writes the line whole and reads the answer before it returns, so the
+    child gets the next request only after it has answered this one. The
+    feature space and class order come from a sidecar description, never
+    from the process. Any malformed response, unknown label, or early exit
+    raises OracleError.
     """
 
     def __init__(self, command: str | Sequence[str], space: FeatureSpace, classes: ClassOrder) -> None:
@@ -286,33 +273,19 @@ class ExternalProcessOracle(ClassifierOracle):
         return OracleError(f"{message} (exit status {status})")
 
     def classify(self, point: Point) -> str:
-        return self.classify_many((point,))[0]
-
-    def classify_many(self, points: Sequence[Point]) -> list[str]:
-        requests = [self._request(point) for point in points]
-        batch = b"".join(requests)
-        # past one atomic write, too long to be sure the child's empty input
-        # pipe takes it at once: one request per write, each answered first
-        writes = [batch] if len(batch) <= _PIPE_BUF else requests
+        request = self._request(point)
         if self._proc is None:
             try:
                 self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
             except OSError as exc:
                 raise OracleError(f"cannot start oracle process {self.command!r}: {exc}") from exc
-        stdin, readline = self._proc.stdin.fileno(), self._proc.stdout.readline
-        labels: list[str] = []
-        for request in writes:
-            data = request
-            try:
-                while data:
-                    data = data[os.write(stdin, data):]
-            except OSError as exc:
-                raise self._failure(f"oracle process rejected request {request.decode()!r}: {exc}") from exc
-            # one answer per request line, every one read before any is
-            # checked, so a bad one leaves none behind
-            lines = [readline() for _ in range(request.count(b"\n"))]
-            labels += map(self._label, lines)
-        return labels
+        data, stdin = request, self._proc.stdin.fileno()
+        try:
+            while data:
+                data = data[os.write(stdin, data):]
+        except OSError as exc:
+            raise self._failure(f"oracle process rejected request {request.decode()!r}: {exc}") from exc
+        return self._label(self._proc.stdout.readline())
 
     def close(self) -> None:
         if self._proc is None:
@@ -335,9 +308,8 @@ class CountingOracle(ClassifierOracle):
 
     Cache hits are counted apart, in `cache_hits`, not in `call_count`, and
     never change answers (inner oracles are deterministic). Also accumulates
-    wall time spent inside the inner oracle. classify_many is classify on
-    each point in turn, so it counts and caches alike. Not shareable across
-    threads.
+    wall time spent inside the inner oracle. The inner oracle needs only
+    `space`, `classes` and `classify`. Not shareable across threads.
 
     An enumeration run keeps one such wrapper, with the memo. The explainer
     asks through the memo; the loop asks each model's corners through
@@ -387,10 +359,10 @@ class MonotonicityViolation:
 def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0) -> list[MonotonicityViolation]:
     """Sample comparable point pairs and report label-order violations.
 
-    Builds pairs a <= b by construction, asks each through one classify_many
-    call, so a child process gets the pair in one write, and checks
-    rank(a) <= rank(b). An empty result is evidence, not a
-    proof, of monotonicity.
+    Builds pairs a <= b by construction, asks classify(a) and then
+    classify(b), and checks rank(a) <= rank(b); a child process gets the
+    pair as two requests. An empty result is evidence, not a proof, of
+    monotonicity.
     """
     import random
 
@@ -402,7 +374,7 @@ def probe_monotonicity(oracle: ClassifierOracle, trials: int, rng_seed: int = 0)
     for _ in range(trials):
         a = Point(tuple(d.sample(rng) for d in space.domains))
         b = Point(tuple(d.sample(rng, lower=x) for d, x in zip(space.domains, a.values)))
-        label_a, label_b = oracle.classify_many((a, b))
+        label_a, label_b = oracle.classify(a), oracle.classify(b)
         if oracle.classes.rank(label_a) > oracle.classes.rank(label_b):
             violations.append(MonotonicityViolation(a, b, label_a, label_b))
     return violations

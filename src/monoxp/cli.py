@@ -413,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="sample for monotonicity violations")
     common(p)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least(0, int), default=1000)
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: MONOXP_SEED or 0)")
     p.set_defaults(func=cmd_probe)
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 import select
@@ -24,7 +25,6 @@ from conftest import (
 
 from monoxp import (
     AppendixCnfClassifier,
-    ClassifierOracle,
     ClassOrder,
     CountingOracle,
     ExternalProcessOracle,
@@ -35,7 +35,11 @@ from monoxp import (
     MonotoneDnfClassifier,
     OracleError,
     Point,
+    enumerate_explanations,
+    find_axp,
+    find_cxp,
     probe_monotonicity,
+    verify_axp,
 )
 
 
@@ -317,70 +321,37 @@ class TestCountingOracle:
             assert cached.classify(q) == grade.classify(q)
 
 
-class BatchRecording(ClassifierOracle):
-    """The grade model, keeping every point asked and how each batch arrived."""
+class ClassifyOnly:
+    """The grade model with no base class: `space`, `classes` and `classify` alone."""
 
     def __init__(self):
         self.inner = GradeClassifier()
-        self.space = self.inner.space
-        self.classes = self.inner.classes
+        self.space, self.classes = self.inner.space, self.inner.classes
         self.points = []
-        self.batch_sizes = []
 
     def classify(self, point):
         self.points.append(point.values)
-        self.batch_sizes.append(1)
         return self.inner.classify(point)
 
-    def classify_many(self, points):
-        self.points.extend(p.values for p in points)
-        self.batch_sizes.append(len(points))
-        return [self.inner.classify(p) for p in points]
 
-
-# a few grade points, so that random lists of them repeat often
-_GRADE_POINTS = st.tuples(*[st.sampled_from((0, 5, 10))] * 4).map(Point)
-
-
-class TestCountingOracleBatches:
-    @given(batches=st.lists(st.lists(_GRADE_POINTS, max_size=4), max_size=6), cache=st.booleans())
-    def test_same_as_classify_in_turn(self, batches, cache):
-        one_by_one, batched = BatchRecording(), BatchRecording()
-        sequential = CountingOracle(one_by_one, cache=cache)
-        counting = CountingOracle(batched, cache=cache)
-        for batch in batches:
-            assert counting.classify_many(batch) == [sequential.classify(p) for p in batch]
-        assert (counting.call_count, counting.cache_hits) == (sequential.call_count, sequential.cache_hits)
-        assert batched.points == one_by_one.points
-
-    def test_a_point_repeated_in_the_batch_is_a_hit(self):
-        inner = BatchRecording()
-        counting = CountingOracle(inner, cache=True)
-        v = Point((10, 10, 5, 0))
-        assert counting.classify_many((v, v)) == ["A", "A"]
-        assert (counting.call_count, counting.cache_hits, inner.points) == (1, 1, [v.values])
-
-    @pytest.mark.parametrize("cache", [False, True])
-    def test_an_inner_oracle_with_classify_alone(self, cache):
-        # no base class and no classify_many, as the library takes oracles everywhere
-        class ClassifyOnly:
-            def __init__(self):
-                self.inner = GradeClassifier()
-                self.space, self.classes = self.inner.space, self.inner.classes
-                self.points = []
-
-            def classify(self, point):
-                self.points.append(point.values)
-                return self.inner.classify(point)
-
-        a, b, c = Point((10, 10, 5, 0)), Point((0, 0, 0, 0)), Point((5, 5, 5, 5))
-        one_by_one, duck = ClassifyOnly(), ClassifyOnly()
-        sequential = CountingOracle(one_by_one, cache=cache)
+def test_an_oracle_with_classify_alone_works_everywhere(grade):
+    # the library asks every oracle through classify and nothing else
+    v = Point((10, 10, 5, 0))
+    duck = ClassifyOnly()
+    assert find_axp(v, duck) == find_axp(v, grade)
+    assert find_cxp(v, duck) == find_cxp(v, grade)
+    assert verify_axp({1, 2}, v, duck) == verify_axp({1, 2}, v, grade) is True
+    got, want = enumerate_explanations(v, duck), enumerate_explanations(v, grade)
+    assert (got.axp_sets(), got.cxp_sets()) == (want.axp_sets(), want.cxp_sets())
+    assert probe_monotonicity(duck, 30, rng_seed=4) == probe_monotonicity(grade, 30, rng_seed=4) == []
+    asked = [v, Point((0, 0, 0, 0)), v, Point((5, 5, 5, 5)), v]
+    for cache in (False, True):
+        duck = ClassifyOnly()
         counting = CountingOracle(duck, cache=cache)
-        for batch in ((a, b), (a, b, a, c), (c,), (b, c, b)):
-            assert counting.classify_many(batch) == [sequential.classify(p) for p in batch]
-        assert (counting.call_count, counting.cache_hits) == (sequential.call_count, sequential.cache_hits)
-        assert duck.points == one_by_one.points
+        assert [counting.classify(p) for p in asked] == [grade.classify(p) for p in asked]
+        reached = [asked[0], asked[1], asked[3]] if cache else asked
+        assert duck.points == [p.values for p in reached]
+        assert (counting.call_count, counting.cache_hits) == ((3, 2) if cache else (5, 0))
 
 
 @pytest.mark.parametrize("cls, params", [(MonotoneDnfClassifier, [[1]]), (AppendixCnfClassifier, [[1], [-1]])])
@@ -412,31 +383,36 @@ class TestProber:
             assert broken.classes.rank(violation.lower_label) > broken.classes.rank(violation.upper_label)
 
     def test_a_child_gets_each_pair_in_turn(self, tmp_path):
-        # each pair goes out through classify_many; the child must receive
+        # each pair goes out as two classify calls; the child must receive
         # both lines of every pair, lower point first, in the order drawn
         log = tmp_path / "requests.log"
-        recorder = BatchRecording()
+        recorder = ClassifyOnly()
         with logging_grade_oracle(log) as oracle:
             assert probe_monotonicity(oracle, 40, rng_seed=11) == probe_monotonicity(recorder, 40, rng_seed=11)
-        assert recorder.batch_sizes == [2] * 40
+        assert len(recorder.points) == 80
         assert logged_requests(log) == request_lines(recorder.points)
 
-    def test_a_pair_is_one_write(self, tmp_path):
-        # the child reads raw chunks and answers every line with a label
-        # that falls from the first line of a chunk to the second
+    def test_each_request_is_one_write_answered_before_the_next(self, tmp_path):
+        # the child reads raw chunks and notes whether more input came in
+        # before it answered; it answers B to every odd-numbered request
+        # line and A to every even one, so each pair is a violation
         script = (
-            "import os, sys\n"
+            "import os, select, sys\n"
             "log = open(sys.argv[1], 'a')\n"
+            "n = 0\n"
             "while chunk := os.read(0, 65536):\n"
-            "    log.write(repr(chunk) + '\\n'); log.flush()\n"
-            "    os.write(1, b'B\\n' + b'A\\n' * (chunk.count(b'\\n') - 1))\n"
+            "    early = bool(select.select([0], [], [], 0.01)[0])\n"
+            "    log.write(repr((chunk, early)) + '\\n'); log.flush()\n"
+            "    for _ in range(chunk.count(b'\\n')):\n"
+            "        os.write(1, b'A\\n' if n % 2 else b'B\\n'); n += 1\n"
         )
         space = FeatureSpace((FeatureDomain("integer", 0, 3),) * 2)
         log = tmp_path / "chunks.log"
         with ExternalProcessOracle([sys.executable, "-c", script, str(log)], space, ClassOrder(("A", "B"))) as oracle:
             violations = probe_monotonicity(oracle, 5, rng_seed=2)
-        chunks = log.read_text().splitlines()
-        assert len(chunks) == 5 and all(chunk.count("\\n") == 2 for chunk in chunks)
+        chunks = [ast.literal_eval(line) for line in log.read_text().splitlines()]
+        asked = request_lines(p.values for v in violations for p in (v.lower, v.upper))
+        assert len(chunks) == 10 and chunks == [(line.encode(), False) for line in asked]
         assert [(v.lower_label, v.upper_label) for v in violations] == [("B", "A")] * 5
 
 
@@ -489,44 +465,20 @@ class TestExternalProcessOracle:
         assert proc.stdin.closed and proc.stdout.closed
         assert proc.returncode is not None
 
-    def test_batches_match_in_process_grade(self, grade, tmp_path):
-        rng = random.Random(6)
-        points = [Point(tuple(rng.randint(0, 10) for _ in range(4))) for _ in range(600)]
-        with logging_grade_oracle(tmp_path / "requests.log") as oracle:
-            assert oracle.classify_many(points[:2]) == [grade.classify(p) for p in points[:2]]
-            # past one atomic pipe write the requests go one at a time
-            assert len("".join(f"{','.join(map(str, p))}\n" for p in points)) > select.PIPE_BUF
-            assert oracle.classify_many(points) == [grade.classify(p) for p in points]
-        assert len(logged_requests(tmp_path / "requests.log")) == 602
-
-    def test_a_corner_pair_is_one_write(self, tmp_path):
-        # the child reads raw chunks: a single write of both lines arrives whole
-        script = (
-            "import os, sys\n"
-            "log = open(sys.argv[1], 'a')\n"
-            "while chunk := os.read(0, 65536):\n"
-            "    log.write(repr(chunk) + '\\n'); log.flush()\n"
-            "    os.write(1, b'A\\n' * chunk.count(b'\\n'))\n"
-        )
-        space, classes = self.grade_space()
-        log = tmp_path / "chunks.log"
-        with ExternalProcessOracle([sys.executable, "-c", script, str(log)], space, classes) as oracle:
-            assert oracle.classify_many((Point((0, 0, 0, 0)), Point((10, 10, 10, 10)))) == ["A", "A"]
-        assert log.read_text().splitlines() == [repr(b"0,0,0,0\n10,10,10,10\n")]
-
     def test_integers_past_float_precision_are_sent_exactly(self, tmp_path):
         space = FeatureSpace((FeatureDomain("integer", 0, 2**54),) * 2 + (FeatureDomain("real", 0, 10),) * 2)
         log = tmp_path / "requests.log"
         with logging_grade_oracle(log, space) as oracle:
             oracle.classify(Point((2**53 + 1, 0, 0, 0)))
-            oracle.classify_many((Point((0, 2**53 + 3, 0, 0)), Point((True, 1, 1.5, 2.0))))
+            oracle.classify(Point((0, 2**53 + 3, 0, 0)))
+            oracle.classify(Point((True, 1, 1.5, 2.0)))
         assert logged_requests(log) == ["9007199254740993,0,0,0\n", "0,9007199254740995,0,0\n", "1,1,1.5,2\n"]
 
     def test_crlf_responses_accepted(self):
         space, classes = self.grade_space()
         script = "import sys\nfor line in sys.stdin: sys.stdout.write('B\\r\\n'); sys.stdout.flush()"
         with ExternalProcessOracle(_oracle_script(script), space, classes) as oracle:
-            assert oracle.classify_many((Point((1, 1, 1, 1)), Point((2, 2, 2, 2)))) == ["B", "B"]
+            assert oracle.classify(Point((1, 1, 1, 1))) == oracle.classify(Point((2, 2, 2, 2))) == "B"
 
     def test_undecodable_response_is_an_unknown_label(self):
         space, classes = self.grade_space()
@@ -535,9 +487,9 @@ class TestExternalProcessOracle:
             with pytest.raises(OracleError, match=r"unknown label '\\\\xff'"):
                 oracle.classify(Point((1, 1, 1, 1)))
 
-    def test_a_bad_answer_in_a_batch_leaves_the_dialogue_in_step(self):
-        # the child answers Z to 1,1,1,1 only; the batch's second answer is
-        # read before the error is raised, so the next request gets its own
+    def test_a_bad_answer_leaves_the_dialogue_in_step(self):
+        # the child answers Z to 1,1,1,1 only; that answer is read before the
+        # error is raised, so each later request gets its own
         space, classes = self.grade_space()
         script = GRADE_CHILD.replace(
             "for line in sys.stdin:\n",
@@ -545,14 +497,15 @@ class TestExternalProcessOracle:
         )
         with ExternalProcessOracle(_oracle_script(script), space, classes) as oracle:
             with pytest.raises(OracleError, match="unknown label 'Z'"):
-                oracle.classify_many((Point((1, 1, 1, 1)), Point((0, 0, 0, 0))))
+                oracle.classify(Point((1, 1, 1, 1)))
+            assert oracle.classify(Point((0, 0, 0, 0))) == "F"
             assert oracle.classify(Point((10, 10, 10, 10))) == "A"
 
     def test_exit_status_is_named(self):
         space, classes = self.grade_space()
         with ExternalProcessOracle(_oracle_script("import sys; sys.exit(7)"), space, classes) as oracle:
             with pytest.raises(OracleError, match="exit status 7"):
-                oracle.classify_many((Point((1, 1, 1, 1)), Point((2, 2, 2, 2))))
+                oracle.classify(Point((1, 1, 1, 1)))
 
     def test_a_request_to_an_exited_child_is_rejected(self):
         # the first call finds the child gone and reaps it; the second
@@ -571,26 +524,6 @@ class TestExternalProcessOracle:
             with pytest.raises(OracleError, match=r"closed its output.*\(the process is still running\)"):
                 oracle.classify(Point((1, 1, 1, 1)))
 
-    def test_a_long_batch_goes_one_request_per_write(self, tmp_path):
-        # each request is answered before the next one is written, so the
-        # child reads every request as a chunk of its own
-        script = (
-            "import os, sys\n"
-            "log = open(sys.argv[1], 'a')\n"
-            "while chunk := os.read(0, 65536):\n"
-            "    log.write(repr(chunk) + '\\n'); log.flush()\n"
-            "    os.write(1, b'A\\n' * chunk.count(b'\\n'))\n"
-        )
-        space, classes = self.grade_space()
-        rng = random.Random(4)
-        points = [Point(tuple(rng.randint(0, 10) for _ in range(4))) for _ in range(600)]
-        lines = request_lines(points)
-        assert len("".join(lines)) > select.PIPE_BUF
-        log = tmp_path / "chunks.log"
-        with ExternalProcessOracle([sys.executable, "-c", script, str(log)], space, classes) as oracle:
-            assert oracle.classify_many(points) == ["A"] * 600
-        assert log.read_text().splitlines() == [repr(line.encode()) for line in lines]
-
     def test_a_request_longer_than_one_atomic_write(self):
         # 400 real coordinates make one request line of more than PIPE_BUF bytes
         space = FeatureSpace((FeatureDomain("real", 0, 10),) * 400)
@@ -599,8 +532,7 @@ class TestExternalProcessOracle:
         points = [Point(tuple(rng.uniform(0, 10) for _ in range(400))) for _ in range(2)]
         assert len(request_lines(points[:1])[0]) > select.PIPE_BUF
         with ExternalProcessOracle(_oracle_script(script), space, ClassOrder(("A", "B"))) as oracle:
-            assert oracle.classify(points[0]) == "B"
-            assert oracle.classify_many(points) == ["B", "B"]
+            assert oracle.classify(points[0]) == oracle.classify(points[1]) == "B"
 
     def test_unstartable_command(self):
         space, classes = self.grade_space()

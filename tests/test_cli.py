@@ -141,18 +141,6 @@ class TestEnumerate:
         assert out[0]["type"] == "instance"
         assert 0 < out[0]["time_sat"] <= out[0]["time_total"]
 
-    def test_summary_times_the_solver(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, GRADE_SPEC)
-        code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
-        assert code == 0
-        assert 0 < out[-1]["time_sat"] <= out[-1]["time_total"]
-        instances = tmp_path / "rows.csv"
-        instances.write_text("10,10,5,0\n")
-        code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
-        assert code == 0
-        assert out[0]["type"] == "instance"
-        assert 0 < out[0]["time_sat"] <= out[0]["time_total"]
-
     def test_limit_marks_incomplete(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0", "--limit", "1")
@@ -399,6 +387,16 @@ class TestArgumentBounds:
         assert code == 1
         assert "usage:" in err and f"argument {argv[-2]}: must be at least" in err
         assert not out_path.exists()
+
+    def test_negative_probe_trials_leave_the_output_file_alone(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_text("kept\n")
+        code = main(["probe", "--spec", spec, "--trials", "-1", "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage:" in err and "argument --trials: must be at least 0" in err
+        assert out_path.read_text() == "kept\n"
 
 
 class TestExternalOracle:
