@@ -334,24 +334,58 @@ class ClassifyOnly:
         return self.inner.classify(point)
 
 
-def test_an_oracle_with_classify_alone_works_everywhere(grade):
+_V = Point((10, 10, 5, 0))
+_ASKED = [_V, Point((0, 0, 0, 0)), _V, Point((5, 5, 5, 5)), _V]
+
+
+def _explanation_sets(oracle):
+    result = enumerate_explanations(_V, oracle)
+    return result.axp_sets(), result.cxp_sets()
+
+
+def _counted(oracle, cache):
+    counting = CountingOracle(oracle, cache=cache)
+    labels = [counting.classify(p) for p in _ASKED]
+    return labels, counting.call_count, counting.cache_hits
+
+
+# each entry point, run on an oracle, gives what must match the grade model's
+_CLASSIFY_ALONE_ENTRIES = {
+    "find_axp": lambda oracle: find_axp(_V, oracle),
+    "find_cxp": lambda oracle: find_cxp(_V, oracle),
+    "verify_axp": lambda oracle: verify_axp({1, 2}, _V, oracle),
+    "enumerate_explanations": _explanation_sets,
+    "counting": lambda oracle: _counted(oracle, cache=False),
+    "counting-memo": lambda oracle: _counted(oracle, cache=True),
+    "probe_monotonicity": lambda oracle: probe_monotonicity(oracle, 30, rng_seed=4),
+}
+
+# what each entry must give on the grade model, where its value is fixed
+_CLASSIFY_ALONE_EXPECTED = {
+    "verify_axp": True,
+    "counting": (["A", "F", "A", "C", "A"], 5, 0),
+    "counting-memo": (["A", "F", "A", "C", "A"], 3, 2),
+    "probe_monotonicity": [],
+}
+
+# the points that reach the inner oracle, where the entry fixes them
+_CLASSIFY_ALONE_REACHED = {
+    "counting": _ASKED,
+    "counting-memo": [_ASKED[0], _ASKED[1], _ASKED[3]],
+}
+
+
+@pytest.mark.parametrize("entry", list(_CLASSIFY_ALONE_ENTRIES))
+def test_an_oracle_with_classify_alone_works_everywhere(grade, entry):
     # the library asks every oracle through classify and nothing else
-    v = Point((10, 10, 5, 0))
+    run = _CLASSIFY_ALONE_ENTRIES[entry]
     duck = ClassifyOnly()
-    assert find_axp(v, duck) == find_axp(v, grade)
-    assert find_cxp(v, duck) == find_cxp(v, grade)
-    assert verify_axp({1, 2}, v, duck) == verify_axp({1, 2}, v, grade) is True
-    got, want = enumerate_explanations(v, duck), enumerate_explanations(v, grade)
-    assert (got.axp_sets(), got.cxp_sets()) == (want.axp_sets(), want.cxp_sets())
-    assert probe_monotonicity(duck, 30, rng_seed=4) == probe_monotonicity(grade, 30, rng_seed=4) == []
-    asked = [v, Point((0, 0, 0, 0)), v, Point((5, 5, 5, 5)), v]
-    for cache in (False, True):
-        duck = ClassifyOnly()
-        counting = CountingOracle(duck, cache=cache)
-        assert [counting.classify(p) for p in asked] == [grade.classify(p) for p in asked]
-        reached = [asked[0], asked[1], asked[3]] if cache else asked
-        assert duck.points == [p.values for p in reached]
-        assert (counting.call_count, counting.cache_hits) == ((3, 2) if cache else (5, 0))
+    got, want = run(duck), run(grade)
+    assert got == want
+    if entry in _CLASSIFY_ALONE_EXPECTED:
+        assert got == _CLASSIFY_ALONE_EXPECTED[entry]
+    if entry in _CLASSIFY_ALONE_REACHED:
+        assert duck.points == [p.values for p in _CLASSIFY_ALONE_REACHED[entry]]
 
 
 @pytest.mark.parametrize("cls, params", [(MonotoneDnfClassifier, [[1]]), (AppendixCnfClassifier, [[1], [-1]])])
