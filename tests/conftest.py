@@ -15,6 +15,7 @@ from typing import Optional
 import pytest
 
 from monoxp import (
+    AppendixCnfClassifier,
     ClassOrder,
     CnfFormula,
     ExternalProcessOracle,
@@ -62,6 +63,26 @@ def random_monotone_dnf(num_features, num_terms, rng):
         terms = [t for t in terms if not term <= t]
         terms.append(term)
     return MonotoneDnfClassifier(boolean_space(num_features), terms)
+
+
+class Recording:
+    """Oracle wrapper that logs the values of every point it is asked."""
+
+    def __init__(self, inner):
+        self.inner, self.space, self.classes = inner, inner.space, inner.classes
+        self.asked = []
+
+    def classify(self, point):
+        self.asked.append(point.values)
+        return self.inner.classify(point)
+
+
+def _draw_appendix_cnf(rng, k):
+    # a random 3-CNF over k variables, redrawn until no literal is common to every clause
+    while True:
+        clauses = [[x if rng.random() < 0.5 else -x for x in rng.sample(range(1, k + 1), 3)] for _ in range(round(4.3 * k))]
+        if not set(clauses[0]).intersection(*map(set, clauses[1:])):
+            return AppendixCnfClassifier(boolean_space(2 * k), clauses)
 
 
 # The grade model as a child process. Given an argument, it appends every

@@ -5,7 +5,7 @@ import time
 import pytest
 
 import monoxp.enumeration
-from conftest import assert_subset_minimal, boolean_space, random_monotone_dnf
+from conftest import Recording, _draw_appendix_cnf, assert_subset_minimal, boolean_space, random_monotone_dnf
 
 from monoxp import (
     AppendixCnfClassifier,
@@ -237,26 +237,6 @@ class TestCounters:
         report = enumerate_explanations(Point((10, 10, 5, 0)), grade)
         assert report.sat_calls == 4
         assert 0.04 <= report.sat_seconds <= report.elapsed
-
-
-class Recording:
-    """Oracle wrapper that logs the values of every point it is asked."""
-
-    def __init__(self, inner):
-        self.inner, self.space, self.classes = inner, inner.space, inner.classes
-        self.asked = []
-
-    def classify(self, point):
-        self.asked.append(point.values)
-        return self.inner.classify(point)
-
-
-def _draw_appendix_cnf(rng, k):
-    # a random 3-CNF over k variables, redrawn until no literal is common to every clause
-    while True:
-        clauses = [[x if rng.random() < 0.5 else -x for x in rng.sample(range(1, k + 1), 3)] for _ in range(round(4.3 * k))]
-        if not set(clauses[0]).intersection(*map(set, clauses[1:])):
-            return AppendixCnfClassifier(boolean_space(2 * k), clauses)
 
 
 def _memo_reach_runs():
