@@ -162,6 +162,10 @@ class FeatureSpace:
     def validate_order(self, order: Sequence[int]) -> tuple[int, ...]:
         """A feature scan order, which must be a permutation of 1..N."""
         out = tuple(order)
+        # N plain ints that make up 1..N, the common case, in two set tests;
+        # a bool or 1.0 equals an index too, so the types are tested apart
+        if len(out) == self.arity and set(out) == self._feature_set and set(map(type, out)) == {int}:
+            return out
         _require_ints(out, "order entries")
         if len(out) != self.arity or set(out) != self._feature_set:
             raise ValueError(f"order must be a permutation of 1..{self.arity}")
@@ -236,3 +240,15 @@ class Explanation:
 
     def sorted_features(self) -> list[int]:
         return sorted(self.features)
+
+
+def _explanation(kind: ExplanationKind, features: frozenset[int]) -> Explanation:
+    """An Explanation of indices a scan picked from a validated space, so
+    plain ints of 1..N: no copy, no per-index check. An empty CXp is still
+    refused, as an oracle that changes its answer can lead a scan to one."""
+    if kind is ExplanationKind.CXP and not features:
+        raise ValueError("a contrastive explanation cannot be empty")
+    expl = object.__new__(Explanation)
+    object.__setattr__(expl, "kind", kind)
+    object.__setattr__(expl, "features", features)
+    return expl

@@ -22,7 +22,12 @@ A run checks its arguments once, where they enter. The loop hands the
 explainer the point `validate_point` returned for v, which the run's space
 accepts at once. Each model's fixed set, built from the model's indices,
 goes to the corner check unchecked, and each seed the explainer gets holds
-plain ints of 1..N.
+plain ints of 1..N. The corner check builds the lower corner's `Point`
+when it asks it and the upper one only when the lower carries v's label.
+A run builds its own explanations and blocking clauses and does not check
+them again: each explanation holds distinct features of 1..N, so its
+clause, all positive or all negative, goes onto the formula through
+`CnfFormula._append`, past `add_clause`'s per-literal checks.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, CountingOracle
 from .domain import Explanation, ExplanationKind, Point, _is_int, _is_number
-from .explainer import SeedBreaksInvariant, _agrees, _box, find_axp, find_cxp, verify_axp
+from .explainer import SeedBreaksInvariant, _agrees, _bounds, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
 
 
@@ -123,16 +128,16 @@ def enumerate_explanations(
             break
         fixed = frozenset(i for i in space.features if model[i - 1] == 0)
         try:
-            if _agrees(counted._fresh, *_box(space, v, fixed), pred):
+            if _agrees(counted._fresh, space, *_bounds(space, v, fixed), pred):
                 # the fixed side forces the prediction: some AXp inside it
                 expl = find_axp(v, counted, seed=all_features - fixed, order=order)
                 report.axps.append(expl)
-                formula.add_clause(expl.features)
+                formula._append(positive=expl.features)
             else:
                 # the free side admits a change: some CXp inside it
                 expl = find_cxp(v, counted, seed=fixed, order=order)
                 report.cxps.append(expl)
-                formula.add_clause(-i for i in expl.features)
+                formula._append(negative=expl.features)
         except SeedBreaksInvariant as exc:
             raise InternalConsistencyError(
                 f"model {model}: the oracle answered the same corner point differently on a second query"

@@ -11,8 +11,16 @@ corner that differs from v's label. An AXp scan starts from the box pinned
 to v and tries to free each feature; a CXp scan starts from the whole box
 and tries to pin each feature. Each scanned feature costs at most two
 oracle calls, so a run costs at most 2N+2 calls including those that
-establish the starting invariant. A corner carries the space that built it
-from a validated v, which then does not check it again.
+establish the starting invariant.
+
+The scan keeps a box as the value lists of its two corners and builds a
+corner's tuple and `Point` only just before it asks it: the upper corner
+only when the lower one carries v's label, the lower one never once it is
+known to. A corner carries the space that built it from a validated v,
+which then does not check it again. The picked features are plain ints of
+1..N by construction, so the scan returns them through a private
+`Explanation` constructor that skips the per-index checks; it still
+refuses an empty CXp, which an oracle that changes its answer can cause.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle
-from .domain import Explanation, ExplanationKind, FeatureSpace, Point, _corner
+from .domain import Explanation, ExplanationKind, FeatureSpace, Point, _corner, _explanation
 
 
 class SeedBreaksInvariant(RuntimeError):
@@ -45,19 +53,21 @@ def corner_points(space: FeatureSpace, v: Point, fixed: Iterable[int]) -> tuple[
     Free features range over their whole domain, so the lower corner takes
     the domain minima and the upper corner the maxima.
     """
-    return _box(space, space.validate_point(v), space.validate_features(fixed))
+    low, up = _bounds(space, space.validate_point(v), space.validate_features(fixed))
+    return _corner(tuple(low), space), _corner(tuple(up), space)
 
 
-def _box(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[Point, Point]:
-    """corner_points for a point and a feature set already validated.
+def _bounds(space: FeatureSpace, v: Point, fixed: frozenset[int]) -> tuple[list, list]:
+    """The values of corner_points' two corners, for a point and a feature
+    set already validated, as lists a scan can move features in.
 
-    Each corner starts from the space's bounds and takes v's values at the
-    fixed features, so it lies in the space and carries it.
+    Each starts from the space's bounds and takes v's values at the fixed
+    features, so a corner made from it lies in the space.
     """
     low, up = list(space._lowers), list(space._uppers)
     for i in fixed:
         low[i - 1] = up[i - 1] = v.values[i - 1]
-    return _corner(tuple(low), space), _corner(tuple(up), space)
+    return low, up
 
 
 def verify_axp(features: Iterable[int], v: Point, oracle) -> bool:
@@ -81,11 +91,13 @@ def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
     return not verify_axp(frozenset(oracle.space.features) - freed, v, oracle)
 
 
-def _agrees(ask: Callable[[Point], str], low: Point, up: Point, pred: str, low_known: bool = False) -> bool:
+def _agrees(ask: Callable[[Point], str], space: FeatureSpace, low: list, up: list, pred: str, low_known: bool = False) -> bool:
     """Do both corners of a box that holds v carry v's label `pred`, that is,
-    for a monotonic oracle, does the box force the prediction? The lower
-    corner is asked first, unless `low_known`, and decides alone if it differs."""
-    return (low_known or ask(low) == pred) and ask(up) == pred
+    for a monotonic oracle, does the box force the prediction? `low` and
+    `up` are the corners' values, from `_bounds`; each becomes a corner of
+    `space` only when it is asked. The lower corner is asked first, unless
+    `low_known`, and decides alone if it differs."""
+    return (low_known or ask(_corner(tuple(low), space)) == pred) and ask(_corner(tuple(up), space)) == pred
 
 
 def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, order) -> Explanation:
@@ -108,16 +120,16 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
     everything = space._feature_set
     agree = kind is ExplanationKind.AXP
     ask = oracle.classify
-    start_low, start_up = _box(space, v, everything - seed_set if agree else seed_set)
+    low, up = _bounds(space, v, everything - seed_set if agree else seed_set)
     if agree:
-        pred = ask(start_low)
+        pred = ask(_corner(tuple(low), space))
         low_known = False
-        holds = ask(start_up) == pred
+        holds = ask(_corner(tuple(up), space)) == pred
     else:
         pred = ask(v)
         # a start box of v alone has v for its lower corner
-        low_known = seed_set == everything or ask(start_low) == pred
-        holds = low_known and ask(start_up) == pred
+        low_known = seed_set == everything or ask(_corner(tuple(low), space)) == pred
+        holds = low_known and ask(_corner(tuple(up), space)) == pred
     if holds != agree:
         if agree:
             raise SeedBreaksInvariant(f"freeing seed {sorted(seed_set)} already changes the prediction")
@@ -125,18 +137,17 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
             raise NoCxpExists("the classifier is constant over the feature space box")
         raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
     target_low, target_up = (space._lowers, space._uppers) if agree else (v.values, v.values)
-    low, up = list(start_low.values), list(start_up.values)
-    picked = set()
+    picked = []
     for i in order_seq:
         if i in seed_set:
             continue
         j = i - 1
         was = low[j], up[j]
         low[j], up[j] = target_low[j], target_up[j]
-        if _agrees(ask, _corner(tuple(low), space), _corner(tuple(up), space), pred, low_known) != agree:
+        if _agrees(ask, space, low, up, pred, low_known) != agree:
             low[j], up[j] = was
-            picked.add(i)
-    return Explanation(kind, frozenset(picked))
+            picked.append(i)
+    return _explanation(kind, frozenset(picked))
 
 
 def find_axp(

@@ -93,7 +93,7 @@ class CnfFormula:
         is not a nonzero int (a bool is not one), names a variable beyond
         num_vars, or repeats a variable."""
         seen = 0
-        clause = []
+        positive, negative = [], []
         for lit in literals:
             if not _is_int(lit) or lit == 0:
                 raise ValueError(f"literal {lit!r} is not a nonzero integer")
@@ -103,13 +103,18 @@ class CnfFormula:
             if seen & bit:
                 raise ValueError(f"variable {abs(lit)} appears twice in one clause")
             seen |= bit
-            clause.append(lit)
+            (positive if lit > 0 else negative).append(abs(lit))
+        self._append(positive, negative)
+
+    def _append(self, positive: Iterable[int] = (), negative: Iterable[int] = ()) -> None:
+        """Append the disjunction of the `positive` variables and the negated
+        `negative` ones, unchecked: the caller hands distinct plain ints of
+        1..num_vars, as an explanation of a run's own space holds."""
         bit = 1 << self._count
-        for lit in clause:
-            if lit > 0:
-                self._pos[lit] |= bit
-            else:
-                self._neg[-lit] |= bit
+        for i in positive:
+            self._pos[i] |= bit
+        for i in negative:
+            self._neg[i] |= bit
         self._count += 1
 
 

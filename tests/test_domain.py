@@ -39,7 +39,7 @@ from monoxp import (
     verify_axp,
     verify_cxp,
 )
-from monoxp.domain import _corner
+from monoxp.domain import _corner, _explanation
 
 
 class TestFeatureDomain:
@@ -251,6 +251,69 @@ class TestFeaturesFastPath:
         assert _features_outcome(FeatureSpace.validate_features, space, container, indices) == expected
 
 
+def _reference_validate_order(space, order):
+    """validate_order as it was before its fast path: every entry an int and
+    no bool, then a permutation of 1..N."""
+    out = tuple(order)
+    bad = [i for i in out if not (isinstance(i, int) and not isinstance(i, bool))]
+    if bad:
+        raise ValueError(f"order entries must be integers, got {bad[0]!r}")
+    if len(out) != space.arity or set(out) != set(range(1, space.arity + 1)):
+        raise ValueError(f"order must be a permutation of 1..{space.arity}")
+    return out
+
+
+def _order_outcome(validate, space, order):
+    """The tuple returned, entry types included, or the exception's type and message."""
+    try:
+        out = validate(space, order)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out, [type(i).__name__ for i in out]
+
+
+class TestOrderFastPath:
+    """validate_order accepts a permutation of plain ints in two set tests
+    and sends anything else through the per-entry checks, whose messages
+    stay as they were."""
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ((True, 2, 3), "order entries must be integers, got True"),
+            ((1.0, 2, 3), "order entries must be integers, got 1.0"),
+            ((1, 1, 2), "order must be a permutation of 1..3"),
+            ((1, 2), "order must be a permutation of 1..3"),
+            ((1, 2, 3, 1), "order must be a permutation of 1..3"),
+            ((1, 2, 4), "order must be a permutation of 1..3"),
+        ],
+        ids=["bool", "float", "repeat", "too-short", "too-long", "out-of-range"],
+    )
+    def test_each_rejection_keeps_its_message(self, order, message):
+        with pytest.raises(ValueError) as caught:
+            boolean_space(3).validate_order(order)
+        assert str(caught.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_same_result_as_the_per_entry_body(self, n, data):
+        space = boolean_space(n)
+        order = data.draw(st.permutations(range(1, n + 1)))
+        odd = st.sampled_from([0, n + 1, -1, True, False, 1.0, float(n), _Index.ONE, "1", None])
+        # mostly permutations, so that both paths are taken often
+        for _ in range(data.draw(st.integers(0, 2))):
+            edit = data.draw(st.sampled_from(["replace", "repeat", "drop"]))
+            at = data.draw(st.integers(0, len(order)))
+            if edit == "replace" and order:
+                order[at % len(order)] = data.draw(odd)
+            elif edit == "repeat" and order:
+                order.insert(at, order[at % len(order)])
+            elif edit == "drop" and order:
+                del order[at % len(order)]
+        expected = _order_outcome(_reference_validate_order, space, order)
+        assert _order_outcome(FeatureSpace.validate_order, space, order) == expected
+
+
 class TestClassOrder:
     def test_rank_and_leq(self):
         order = ClassOrder(("F", "E", "D"))
@@ -290,6 +353,22 @@ class TestExplanationType:
             assert twin.features == frozenset({2, 3})
         with pytest.raises(AttributeError):
             expl.features = frozenset({1})
+
+    @pytest.mark.parametrize("kind", list(ExplanationKind))
+    @pytest.mark.parametrize("features", [frozenset(), frozenset({3}), frozenset({1, 4, 2})])
+    def test_the_scan_constructor_makes_the_same_value(self, kind, features):
+        if kind is ExplanationKind.CXP and not features:
+            with pytest.raises(ValueError, match="^a contrastive explanation cannot be empty$"):
+                _explanation(kind, features)
+            return
+        public, private = Explanation(kind, features), _explanation(kind, features)
+        assert private == public and hash(private) == hash(public) and repr(private) == repr(public)
+        for twin in (pickle.loads(pickle.dumps(private)), copy.deepcopy(private)):
+            assert twin == public and hash(twin) == hash(public)
+            assert type(twin.features) is frozenset and twin.features == features
+        assert pickle.dumps(private) == pickle.dumps(public)
+        with pytest.raises(AttributeError):
+            private.features = frozenset({1})
 
 
 class TestPointLeq:

@@ -352,9 +352,8 @@ class TestOneWrapperPerRun:
             assert report.complete
             assert got == expected, (seed, corner)
 
-    @pytest.mark.parametrize("batches", [False, True], ids=["single", "batching"])
     @pytest.mark.parametrize("terms", [[], [[1]]], ids=["axp-branch", "cxp-branch"])
-    def test_a_changed_answer_is_caught(self, terms, batches):
+    def test_a_changed_answer_is_caught(self, terms):
         # the first model frees both features: the loop asks (0, 0) and
         # (1, 1), then the explainer's start check asks them again. A
         # constant model sends the loop to the AXp branch, x1 to the CXp one;
@@ -362,7 +361,6 @@ class TestOneWrapperPerRun:
         class FlipOnSecondAsk(ClassifierOracle):
             def __init__(self, inner):
                 self.inner, self.space, self.classes = inner, inner.space, inner.classes
-                self.batches = batches
                 self.asked = 0
 
             def classify(self, point):

@@ -238,6 +238,28 @@ class TestFindCxp:
         # and two for each of the picked features 2 and 3
         assert counting.call_count == 7 <= 2 * 3 + 2
 
+    def test_an_oracle_that_changes_its_answer_gets_no_empty_cxp(self):
+        # v = (1,) is asked first for its label and again as the box pinned
+        # to v, where its flipped answer keeps the scan from picking feature
+        # 1: the scan would return an empty CXp, which its constructor refuses
+        class FlipVOnSecondAsk(ClassifierOracle):
+            def __init__(self, inner):
+                self.inner, self.space, self.classes = inner, inner.space, inner.classes
+                self.asked = 0
+
+            def classify(self, point):
+                label = self.inner.classify(point)
+                if point.values == (1,):
+                    self.asked += 1
+                    if self.asked == 2:
+                        return "1" if label == "0" else "0"
+                return label
+
+        oracle = FlipVOnSecondAsk(MonotoneDnfClassifier(boolean_space(1), [[1]]))
+        with pytest.raises(ValueError, match="^a contrastive explanation cannot be empty$"):
+            find_cxp(Point((1,)), oracle)
+        assert oracle.asked == 2
+
 
 class TestEveryOrder:
     def test_majority_all_orders_land_in_the_families(self, majority):

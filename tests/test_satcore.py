@@ -284,3 +284,34 @@ class TestResumedSearch:
             formula.add_clause(clause)
             for polarity in (1, 0):
                 assert solve(formula, polarity) is None
+
+
+@st.composite
+def _blocking_families(draw):
+    """A variable count and a list of clauses, each a set of distinct
+    variables and a sign, as the enumeration loop blocks an AXp (positive)
+    or a CXp (negative)."""
+    num_vars = draw(st.integers(1, 7))
+    clause = st.tuples(st.frozensets(st.integers(1, num_vars), max_size=num_vars), st.booleans())
+    return num_vars, draw(st.lists(clause, max_size=14))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocking_families())
+def test_the_unchecked_append_builds_what_add_clause_builds(case):
+    # the loop's private path against the public one: the same clauses,
+    # length and DIMACS text, and the same models at both polarities after
+    # every clause, as each polarity's search resumes
+    num_vars, family = case
+    checked, unchecked = CnfFormula(num_vars), CnfFormula(num_vars)
+    for variables, negated in family:
+        checked.add_clause(-i if negated else i for i in variables)
+        if negated:
+            unchecked._append(negative=variables)
+        else:
+            unchecked._append(positive=variables)
+        assert unchecked.clauses == checked.clauses
+        assert len(unchecked) == len(checked)
+        assert to_dimacs(unchecked) == to_dimacs(checked)
+        for polarity in (0, 1):
+            assert solve(unchecked, polarity) == solve(checked, polarity)
