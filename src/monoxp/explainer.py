@@ -137,7 +137,9 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
             raise NoCxpExists("the classifier is constant over the feature space box")
         raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
     target_low, target_up = (space._lowers, space._uppers) if agree else (v.values, v.values)
-    picked = []
+    # a set, not a list: frozenset copies a set's table at its size, which for
+    # 5-7 features is 472 bytes against 728 from a list, and callers keep families
+    picked = set()
     for i in order_seq:
         if i in seed_set:
             continue
@@ -146,7 +148,7 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         low[j], up[j] = target_low[j], target_up[j]
         if _agrees(ask, space, low, up, pred, low_known) != agree:
             low[j], up[j] = was
-            picked.append(i)
+            picked.add(i)
     return _explanation(kind, frozenset(picked))
 
 
