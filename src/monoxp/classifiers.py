@@ -23,6 +23,8 @@ from typing import Optional, Sequence
 
 from .domain import ClassOrder, FeatureDomain, FeatureSpace, Number, Point, _is_int, _is_number
 
+_MISSING = object()  # CountingOracle's memo miss: a stored label may be any value
+
 
 class OracleError(RuntimeError):
     """Hard failure while talking to a classifier oracle."""
@@ -240,14 +242,6 @@ class ExternalProcessOracle(ClassifierOracle):
         self._texts: dict[Number, str] = {}
         self._proc: Optional[subprocess.Popen] = None
 
-    def _request(self, point: Point) -> bytes:
-        self.space.validate_point(point)
-        try:
-            text = ",".join(map(self._texts.__getitem__, point.values))
-        except KeyError:
-            text = ",".join(map(self._text, point.values))
-        return (text + "\n").encode()
-
     def _text(self, value: Number) -> str:
         """A coordinate's request text, kept for the next request; equal numbers format alike."""
         text = _format_coordinate(value)
@@ -273,7 +267,12 @@ class ExternalProcessOracle(ClassifierOracle):
         return OracleError(f"{message} (exit status {status})")
 
     def classify(self, point: Point) -> str:
-        request = self._request(point)
+        self.space.validate_point(point)
+        try:
+            text = ",".join(map(self._texts.__getitem__, point.values))
+        except KeyError:
+            text = ",".join(map(self._text, point.values))
+        request = (text + "\n").encode()
         if self._proc is None:
             try:
                 self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -328,13 +327,13 @@ class CountingOracle(ClassifierOracle):
         self._cache: Optional[dict[tuple[Number, ...], str]] = {} if cache else None
 
     def classify(self, point: Point) -> str:
-        key = point.values
-        if self._cache is not None and key in self._cache:
+        if self._cache is None:
+            return self._fresh(point)
+        label = self._cache.get(point.values, _MISSING)  # one hash of the values on a hit
+        if label is _MISSING:
+            label = self._cache[point.values] = self._fresh(point)
+        else:
             self.cache_hits += 1
-            return self._cache[key]
-        label = self._fresh(point)
-        if self._cache is not None:
-            self._cache[key] = label
         return label
 
     def _fresh(self, point: Point) -> str:

@@ -117,10 +117,12 @@ def _feature_names(oracle: ClassifierOracle, features) -> list[str]:
 
 
 def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle, str], T]) -> tuple[T, dict]:
-    """Classify v, then run `work(counter, prediction)` on the same counter.
+    """Classify v through a counter, then run `work(counter, prediction)`.
 
     Returns the work's result and the fields every per-instance record
-    shares; both timings cover the same span, the prediction plus the work.
+    shares. `time_total` covers the prediction plus the work; the counts and
+    `time_classifier` cover the calls made through the counter, to which
+    `_report_counts` adds an enumeration run's own (it gets the bare oracle).
     """
     counting = CountingOracle(oracle)
     start = time.perf_counter()
@@ -136,7 +138,10 @@ def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle,
     }
 
 
-def _report_counts(report: EnumerationReport) -> dict:
+def _report_counts(counted: dict, report: EnumerationReport) -> dict:
+    """Add the run's calls and classifier time to the prediction's in `counted`; return the run's other fields."""
+    counted["oracle_calls"] += report.oracle_calls
+    counted["time_classifier"] += report.classify_seconds
     return {
         "time_sat": report.sat_seconds,
         "axp_count": len(report.axps),
@@ -200,7 +205,7 @@ def cmd_enumerate(args) -> int:
             stream = stack.enter_context(_output(args.output))
             dump = stack.enter_context(open(args.dump_cnf, "w", encoding="utf-8")) if args.dump_cnf else None
 
-            def run(counting: CountingOracle, prediction: str) -> EnumerationReport:
+            def run(_, prediction: str) -> EnumerationReport:
                 index = 0
 
                 def on_explanation(expl: Explanation) -> None:
@@ -220,16 +225,12 @@ def cmd_enumerate(args) -> int:
                     )
 
                 return enumerate_explanations(
-                    v,
-                    counting,
-                    limit=args.limit,
-                    budget=args.budget,
-                    order=order,
-                    callback=on_explanation,
+                    v, oracle, limit=args.limit, budget=args.budget, order=order, callback=on_explanation
                 )
 
             report, counted = _counted(oracle, v, run)
-            _emit(stream, _record("summary", **counted, **_report_counts(report)))
+            fields = _report_counts(counted, report)
+            _emit(stream, _record("summary", **counted, **fields))
             if dump is not None:
                 dump.write(to_dimacs(report.formula))
     return EXIT_OK
@@ -305,16 +306,17 @@ def _read_instance_rows(path: str) -> list[tuple[int, list]]:
 def _bench_one(oracle: ClassifierOracle, line: int, cells: list) -> dict:
     try:
         point = oracle.space.validate_point(Point(tuple(map(_parse_value, cells))))
-        report, counted = _counted(oracle, point, lambda counting, _: enumerate_explanations(point, counting))
+        report, counted = _counted(oracle, point, lambda *_: enumerate_explanations(point, oracle))
     except ValueError as exc:
         return _record("row-error", line=line, message=str(exc))
+    fields = _report_counts(counted, report)
     return _record(
         "instance",
         line=line,
         **counted,
         axps=[e.sorted_features() for e in report.axps],
         cxps=[e.sorted_features() for e in report.cxps],
-        **_report_counts(report),
+        **fields,
     )
 
 

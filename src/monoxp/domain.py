@@ -187,9 +187,6 @@ class Point:
         if not self.values:
             raise ValueError("a point needs at least one coordinate")
 
-    def __iter__(self):
-        return iter(self.values)
-
     def __getstate__(self) -> dict:
         return {"values": self.values}  # a copy or pickle drops _space
 
@@ -197,8 +194,10 @@ class Point:
 def _corner(values: tuple[Number, ...], space: FeatureSpace) -> Point:
     """A Point in `space` by construction: from a validated point and the space's bounds."""
     point = object.__new__(Point)
-    object.__setattr__(point, "values", values)
-    object.__setattr__(point, "_space", space)
+    # straight into the instance dict, past the frozen __setattr__, in one lookup
+    state = point.__dict__
+    state["values"] = values
+    state["_space"] = space
     return point
 
 

@@ -118,8 +118,8 @@ def logged_requests(log_path) -> list[str]:
 
 
 def request_lines(points) -> list[str]:
-    """The request lines of integer-valued points, as the wire carries them."""
-    return [",".join(map(str, p)) + "\n" for p in points]
+    """The request lines of integer-valued points or value tuples, as the wire carries them."""
+    return [",".join(map(str, getattr(p, "values", p))) + "\n" for p in points]
 
 
 def point_leq(a, b):

@@ -312,6 +312,18 @@ class TestCountingOracle:
         b = counting.classify(Point((1, 2, 3, 4)))
         assert a == b and counting.call_count == 1 and counting.cache_hits == 1
 
+    @pytest.mark.parametrize("label", [None, "", 0])
+    def test_a_falsy_label_is_kept_and_counted(self, grade, label):
+        class Constant:
+            space, classes = grade.space, grade.classes
+
+            def classify(self, point):
+                return label
+
+        counting = CountingOracle(Constant(), cache=True)
+        labels = [counting.classify(p) for p in _ASKED]
+        assert labels == [label] * 5 and (counting.call_count, counting.cache_hits) == (3, 2)
+
     def test_cached_answers_match_uncached(self, grade):
         rng = random.Random(11)
         cached = CountingOracle(grade, cache=True)

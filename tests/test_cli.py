@@ -128,6 +128,8 @@ class TestEnumerate:
         assert code == 0
         # the prediction plus the run's 12 calls; the memo answered 10 more
         assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 10)
+        report = monoxp.enumerate_explanations(Point((10, 10, 5, 0)), GradeClassifier())
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (1 + report.oracle_calls, report.cache_hits)
 
     def test_summary_times_the_solver(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
@@ -529,6 +531,37 @@ def logging_grade_spec(log) -> dict:
         "features": [{"kind": "real", "lower": 0, "upper": 10}] * 4,
         "classes": list("FEDCBA"),
     }
+
+
+@pytest.mark.parametrize("pipe", [False, True], ids=["in-process", "pipe"])
+@pytest.mark.parametrize("command", ["enumerate", "bench"])
+def test_each_run_asks_the_oracle_the_spec_built(tmp_path, capsys, monkeypatch, command, pipe):
+    # a run counts its own calls, so it gets the oracle itself, not a counter
+    # wrapped around it; the records still count every request the child read
+    built, given = [], []
+
+    def build(spec):
+        built.append(build_oracle(spec))
+        return built[-1]
+
+    def enumerate_explanations(v, oracle, **kwargs):
+        given.append(oracle)
+        return monoxp.enumerate_explanations(v, oracle, **kwargs)
+
+    monkeypatch.setattr(monoxp.cli, "build_oracle", build)
+    monkeypatch.setattr(monoxp.cli, "enumerate_explanations", enumerate_explanations)
+    log = tmp_path / "requests.log"
+    spec = write_spec(tmp_path, logging_grade_spec(log) if pipe else GRADE_SPEC)
+    instances = tmp_path / "rows.csv"
+    instances.write_text("10,10,5,0\n0,0,0,8\n")
+    argv = ["--instance", "10,10,5,0"] if command == "enumerate" else ["--instances", str(instances)]
+    code, out, _ = run(capsys, command, "--spec", spec, *argv)
+    assert code == 0
+    assert len(built) == 1 and len(given) == (1 if command == "enumerate" else 2)
+    assert all(oracle is built[0] for oracle in given)
+    if pipe:
+        counted = [r["oracle_calls"] for r in out if r["type"] in ("summary", "instance")]
+        assert len(logged_requests(log)) == sum(counted) > 0
 
 
 @pytest.mark.parametrize(

@@ -679,6 +679,14 @@ class TestValidationAtTheBoundary:
         again = space.validate_point(copied)
         assert again == checked and again is not copied and again is not checked
 
+    def test_a_corner_is_frozen(self):
+        space = FeatureSpace((FeatureDomain("integer", 0, 3),) * 3)
+        low, _ = corner_points(space, Point((1, 2, 3)), {2})
+        for name, value in (("values", (0, 0, 0)), ("_space", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(low, name, value)
+        assert low.values == (0, 2, 0) and low._space is space
+
     def test_a_corner_handed_to_a_narrower_space_raises(self):
         wide = FeatureSpace((FeatureDomain("integer", 0, 5),) * 3)
         narrow = FeatureSpace((FeatureDomain("integer", 0, 3),) * 3)
