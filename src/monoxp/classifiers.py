@@ -1,5 +1,5 @@
 """Classifier oracles: built-in monotone models, an external-process client,
-a counting/caching wrapper, and a randomized monotonicity prober.
+a counting wrapper, and a randomized monotonicity prober.
 
 An oracle is a black box: the only interaction is classify(point) -> label,
 one point per call. Monotonicity is assumed by the explanation algorithms,
@@ -22,9 +22,6 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .domain import ClassOrder, FeatureDomain, FeatureSpace, Number, Point, _is_int, _is_number
-
-_MISSING = object()  # CountingOracle's memo miss: a stored label may be any value
-
 
 class OracleError(RuntimeError):
     """Hard failure while talking to a classifier oracle."""
@@ -303,41 +300,21 @@ class ExternalProcessOracle(ClassifierOracle):
 
 
 class CountingOracle(ClassifierOracle):
-    """Wrapper counting inner classify calls; optional exact-point memo cache.
+    """Wrapper counting the inner oracle's classify calls, in `call_count`,
+    and the wall time spent in them, in `classify_seconds`.
 
-    Cache hits are counted apart, in `cache_hits`, not in `call_count`, and
-    never change answers (inner oracles are deterministic). Also accumulates
-    wall time spent inside the inner oracle. The inner oracle needs only
-    `space`, `classes` and `classify`. Not shareable across threads.
-
-    An enumeration run keeps one such wrapper, with the memo. The explainer
-    asks through the memo; the loop asks each model's corners through
-    `_fresh`, which goes past the memo and leaves nothing in it, so the
-    explainer's start check asks the oracle again and a changed answer
-    shows.
+    Every call reaches the inner oracle, which needs only `space`, `classes`
+    and `classify`. Not shareable across threads.
     """
 
-    def __init__(self, inner: ClassifierOracle, cache: bool = False) -> None:
+    def __init__(self, inner: ClassifierOracle) -> None:
         self.inner = inner
         self.space = inner.space
         self.classes = inner.classes
         self.call_count = 0
-        self.cache_hits = 0
         self.classify_seconds = 0.0
-        self._cache: Optional[dict[tuple[Number, ...], str]] = {} if cache else None
 
     def classify(self, point: Point) -> str:
-        if self._cache is None:
-            return self._fresh(point)
-        label = self._cache.get(point.values, _MISSING)  # one hash of the values on a hit
-        if label is _MISSING:
-            label = self._cache[point.values] = self._fresh(point)
-        else:
-            self.cache_hits += 1
-        return label
-
-    def _fresh(self, point: Point) -> str:
-        """The inner oracle's label, counted and timed, neither read from nor kept in the memo."""
         start = time.perf_counter()
         label = self.inner.classify(point)
         self.classify_seconds += time.perf_counter() - start

@@ -116,6 +116,23 @@ def _feature_names(oracle: ClassifierOracle, features) -> list[str]:
     return [oracle.space.name(i) for i in sorted(features)]
 
 
+class _Consistent(CountingOracle):
+    """A counter that raises OracleError when the oracle answers a point it
+    answered before with another label, which the explainer would report as
+    a broken seed or an empty CXp."""
+
+    def __init__(self, inner: ClassifierOracle) -> None:
+        super().__init__(inner)
+        self._labels: dict[tuple, str] = {}
+
+    def classify(self, point: Point) -> str:
+        label = super().classify(point)
+        first = self._labels.setdefault(point.values, label)
+        if label != first:
+            raise OracleError(f"the oracle answered {list(point.values)} with {first!r}, then with {label!r}")
+        return label
+
+
 def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle, str], T]) -> tuple[T, dict]:
     """Classify v through a counter, then run `work(counter, prediction)`.
 
@@ -124,7 +141,7 @@ def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle,
     `time_classifier` cover the calls made through the counter, to which
     `_report_counts` adds an enumeration run's own (it gets the bare oracle).
     """
-    counting = CountingOracle(oracle)
+    counting = _Consistent(oracle)
     start = time.perf_counter()
     prediction = counting.classify(v)
     result = work(counting, prediction)

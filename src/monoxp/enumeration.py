@@ -10,13 +10,10 @@ blocking clause: positive over an AXp's features, negative over a CXp's.
 One extra satisfiability call proves completion, so a finished run makes
 exactly len(axps) + len(cxps) + 1 solver calls.
 
-A run keeps one `CountingOracle` with a memo that lives for the run, and
-asks v's label once through it. The explainer asks through the memo, so a
-point reaches the oracle once per run, except the loop's corners: the loop
-asks them through the wrapper's `_fresh`, past the memo, one at a time and
-never skipping the lower one, and keeps them out of it, so the explainer's
-invariant check compares them with answers of other queries, which catches
-an oracle that changes its mind.
+A run asks the oracle through its own `_Memo`, which counts the calls and
+keeps their answers for the run, so a point reaches the oracle once per
+run, except the loop's corners, which go past the memo so that a changed
+answer shows.
 
 A run checks its arguments once, where they enter. The loop hands the
 explainer the point `validate_point` returned for v, which the run's space
@@ -47,13 +44,36 @@ class InternalConsistencyError(RuntimeError):
     """A solver model led to a seed the explainer rejected.
 
     The explainer's seed box is the box whose corners the loop has just
-    classified, so it rejects the seed only when the oracle answers the same
-    point differently on a second query. The loop asks the corners past the
-    run's memo and keeps them out of it; the explainer asks again each
-    corner the loop asked, and its answer is a fresh oracle call, or the
-    memo's copy of an earlier call in the same run. A deterministic oracle,
-    monotone or not, never raises this.
+    classified past the run's memo, so it rejects the seed only when the
+    oracle answers the same point differently on a second query. A
+    deterministic oracle, monotone or not, never raises this.
     """
+
+
+_MISSING = object()  # a memo miss: a stored label may be any value
+
+
+class _Memo(CountingOracle):
+    """A run's counter and memo. `classify` answers a point the run asked
+    before from the memo, counting it in `cache_hits`, and hands any other
+    to the inherited counting `classify`, keeping its answer. The explainer
+    asks through the memo. The loop asks each model's corners through
+    `CountingOracle.classify`, past the memo and kept out of it, one at a
+    time and never skipping the lower one, so the explainer's start check
+    asks them again: a fresh call, or the memo's copy of an earlier one."""
+
+    def __init__(self, inner: ClassifierOracle) -> None:
+        super().__init__(inner)
+        self.cache_hits = 0
+        self._cache: dict[tuple, str] = {}
+
+    def classify(self, point: Point) -> str:
+        label = self._cache.get(point.values, _MISSING)  # one hash of the values on a hit
+        if label is _MISSING:
+            label = self._cache[point.values] = CountingOracle.classify(self, point)
+        else:
+            self.cache_hits += 1
+        return label
 
 
 @dataclass
@@ -94,18 +114,18 @@ def enumerate_explanations(
     or `budget` (wall-clock seconds) cut the run short, yielding a prefix of
     a complete enumeration flagged complete=False; a `limit` that is no
     non-negative int or a negative or NaN `budget` is a ValueError before
-    any call. `oracle_calls` counts
-    the calls that reached the oracle, `cache_hits` the explainer's queries
-    the run's memo answered instead. `classify_seconds` is the wall time
-    spent in the oracle's calls, `sat_seconds` the wall time spent in the
-    loop's satisfiability calls.
+    any call. `oracle_calls` counts the calls that reached the oracle,
+    `cache_hits` the explainer's queries the run's memo answered instead.
+    `classify_seconds` is the wall time spent in the oracle's calls,
+    `sat_seconds` the wall time spent in the loop's satisfiability calls.
     """
     if limit is not None and not (_is_int(limit) and limit >= 0):
         raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
     if budget is not None and not (_is_number(budget) and budget >= 0):
         raise ValueError(f"budget must be a non-negative number of seconds, got {budget!r}")
-    counted = CountingOracle(oracle, cache=True)
-    space = counted.space
+    memo = _Memo(oracle)
+    fresh = super(_Memo, memo).classify  # past the memo
+    space = memo.space
     v = space.validate_point(v)
     if order is not None:
         order = space.validate_order(order)
@@ -113,7 +133,7 @@ def enumerate_explanations(
     formula = CnfFormula(space.arity)
     report = EnumerationReport(formula=formula)
     start = time.perf_counter()
-    pred = counted.classify(v)
+    pred = memo.classify(v)
     while True:
         if limit is not None and len(report.axps) + len(report.cxps) >= limit:
             break
@@ -128,14 +148,14 @@ def enumerate_explanations(
             break
         fixed = frozenset(i for i in space.features if model[i - 1] == 0)
         try:
-            if _agrees(counted._fresh, space, *_bounds(space, v, fixed), pred):
+            if _agrees(fresh, space, *_bounds(space, v, fixed), pred):
                 # the fixed side forces the prediction: some AXp inside it
-                expl = find_axp(v, counted, seed=all_features - fixed, order=order)
+                expl = find_axp(v, memo, seed=all_features - fixed, order=order)
                 report.axps.append(expl)
                 formula._append(positive=expl.features)
             else:
                 # the free side admits a change: some CXp inside it
-                expl = find_cxp(v, counted, seed=fixed, order=order)
+                expl = find_cxp(v, memo, seed=fixed, order=order)
                 report.cxps.append(expl)
                 formula._append(negative=expl.features)
         except SeedBreaksInvariant as exc:
@@ -144,9 +164,9 @@ def enumerate_explanations(
             ) from exc
         if callback is not None:
             callback(expl)
-    report.oracle_calls = counted.call_count
-    report.cache_hits = counted.cache_hits
-    report.classify_seconds = counted.classify_seconds
+    report.oracle_calls = memo.call_count
+    report.cache_hits = memo.cache_hits
+    report.classify_seconds = memo.classify_seconds
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -161,13 +181,7 @@ class DualityCounterexample:
 
 
 def _as_sets(family: Iterable) -> list[frozenset[int]]:
-    out = []
-    for member in family:
-        if isinstance(member, Explanation):
-            out.append(member.features)
-        else:
-            out.append(frozenset(member))
-    return out
+    return [m.features if isinstance(m, Explanation) else frozenset(m) for m in family]
 
 
 def _mhs_failure(candidate: frozenset[int], family: Sequence[frozenset[int]]) -> Optional[str]:
@@ -187,16 +201,12 @@ def check_duality(axps: Iterable, cxps: Iterable) -> tuple[bool, Optional[Dualit
     True iff every AXp is a minimal hitting set of the CXp family and every
     CXp one of the AXp family; on failure, reports the first offender.
     """
-    axp_sets = _as_sets(axps)
-    cxp_sets = _as_sets(cxps)
-    for s in axp_sets:
-        reason = _mhs_failure(s, cxp_sets)
-        if reason is not None:
-            return False, DualityCounterexample(ExplanationKind.AXP, s, reason)
-    for s in cxp_sets:
-        reason = _mhs_failure(s, axp_sets)
-        if reason is not None:
-            return False, DualityCounterexample(ExplanationKind.CXP, s, reason)
+    axp_sets, cxp_sets = _as_sets(axps), _as_sets(cxps)
+    for kind, family, other in ((ExplanationKind.AXP, axp_sets, cxp_sets), (ExplanationKind.CXP, cxp_sets, axp_sets)):
+        for s in family:
+            reason = _mhs_failure(s, other)
+            if reason is not None:
+                return False, DualityCounterexample(kind, s, reason)
     return True, None
 
 
@@ -216,23 +226,13 @@ def brute_force_explanations(
     n = space.arity
     if n > max_features:
         raise ValueError(f"{n} features exceed the brute-force cap of {max_features}")
-    features = list(space.features)
-    sufficient: dict[frozenset[int], bool] = {}
-    for size in range(n + 1):
-        for combo in combinations(features, size):
-            fixed = frozenset(combo)
-            sufficient[fixed] = verify_axp(fixed, v, oracle)
-    axps = [
-        s
-        for s, ok in sufficient.items()
-        if ok and all(not sufficient[s - {i}] for i in s)
-    ]
-    all_features = frozenset(features)
-    changeable = {s: not sufficient[all_features - s] for s in sufficient}
-    cxps = [
-        s
-        for s, ok in changeable.items()
-        if ok and all(not changeable[s - {i}] for i in s)
-    ]
-    key = lambda s: (len(s), sorted(s))
-    return sorted(axps, key=key), sorted(cxps, key=key)
+    subsets = (frozenset(c) for size in range(n + 1) for c in combinations(space.features, size))
+    sufficient = {fixed: verify_axp(fixed, v, oracle) for fixed in subsets}
+    changeable = {s: not sufficient[space._feature_set - s] for s in sufficient}
+
+    def minimal(holds: dict[frozenset[int], bool]) -> list[frozenset[int]]:
+        """The sets that hold while none of their drop-one subsets does, smallest first."""
+        kept = [s for s, ok in holds.items() if ok and not any(holds[s - {i}] for i in s)]
+        return sorted(kept, key=lambda s: (len(s), sorted(s)))
+
+    return minimal(sufficient), minimal(changeable)

@@ -45,6 +45,7 @@ so its depth is not bounded by Python's recursion limit.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Optional
 
 from .domain import _is_int
@@ -84,6 +85,9 @@ class CnfFormula:
 
     def __len__(self) -> int:
         return self._count
+
+    def __copy__(self) -> "CnfFormula":
+        return copy.deepcopy(self)  # its masks and frontiers change in place
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Append the disjunction of `literals`: a positive int is a variable,

@@ -306,32 +306,6 @@ class TestCountingOracle:
         counting.classify(Point((1, 2, 3, 4)))
         assert counting.call_count == 2
 
-    def test_cache_hits_do_not_count(self, grade):
-        counting = CountingOracle(grade, cache=True)
-        a = counting.classify(Point((1, 2, 3, 4)))
-        b = counting.classify(Point((1, 2, 3, 4)))
-        assert a == b and counting.call_count == 1 and counting.cache_hits == 1
-
-    @pytest.mark.parametrize("label", [None, "", 0])
-    def test_a_falsy_label_is_kept_and_counted(self, grade, label):
-        class Constant:
-            space, classes = grade.space, grade.classes
-
-            def classify(self, point):
-                return label
-
-        counting = CountingOracle(Constant(), cache=True)
-        labels = [counting.classify(p) for p in _ASKED]
-        assert labels == [label] * 5 and (counting.call_count, counting.cache_hits) == (3, 2)
-
-    def test_cached_answers_match_uncached(self, grade):
-        rng = random.Random(11)
-        cached = CountingOracle(grade, cache=True)
-        queries = [Point(tuple(rng.randint(0, 10) for _ in range(4))) for _ in range(200)]
-        queries += queries[:50]  # replay some
-        for q in queries:
-            assert cached.classify(q) == grade.classify(q)
-
 
 class ClassifyOnly:
     """The grade model with no base class: `space`, `classes` and `classify` alone."""
@@ -355,10 +329,10 @@ def _explanation_sets(oracle):
     return result.axp_sets(), result.cxp_sets()
 
 
-def _counted(oracle, cache):
-    counting = CountingOracle(oracle, cache=cache)
+def _counted(oracle):
+    counting = CountingOracle(oracle)
     labels = [counting.classify(p) for p in _ASKED]
-    return labels, counting.call_count, counting.cache_hits
+    return labels, counting.call_count
 
 
 # each entry point, run on an oracle, gives what must match the grade model's
@@ -367,23 +341,20 @@ _CLASSIFY_ALONE_ENTRIES = {
     "find_cxp": lambda oracle: find_cxp(_V, oracle),
     "verify_axp": lambda oracle: verify_axp({1, 2}, _V, oracle),
     "enumerate_explanations": _explanation_sets,
-    "counting": lambda oracle: _counted(oracle, cache=False),
-    "counting-memo": lambda oracle: _counted(oracle, cache=True),
+    "counting": _counted,
     "probe_monotonicity": lambda oracle: probe_monotonicity(oracle, 30, rng_seed=4),
 }
 
 # what each entry must give on the grade model, where its value is fixed
 _CLASSIFY_ALONE_EXPECTED = {
     "verify_axp": True,
-    "counting": (["A", "F", "A", "C", "A"], 5, 0),
-    "counting-memo": (["A", "F", "A", "C", "A"], 3, 2),
+    "counting": (["A", "F", "A", "C", "A"], 5),
     "probe_monotonicity": [],
 }
 
 # the points that reach the inner oracle, where the entry fixes them
 _CLASSIFY_ALONE_REACHED = {
     "counting": _ASKED,
-    "counting-memo": [_ASKED[0], _ASKED[1], _ASKED[3]],
 }
 
 

@@ -507,6 +507,32 @@ class TestExternalOracle:
         assert out[0]["instance"] == [9007199254740993, 0, 0, 0]
         assert logged_requests(log)[0] == "9007199254740993,0,0,0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["explain", "--kind", "axp"], ["explain", "--kind", "cxp"], ["verify", "--kind", "axp", "--features", "1"]],
+        ids=["explain-axp", "explain-cxp", "verify"],
+    )
+    def test_a_changed_answer_is_an_oracle_failure(self, tmp_path, capsys, argv):
+        # the child answers 1 but to a point's second request; each command
+        # asks v again, and must end there with one error and no record
+        child = (
+            "import sys\nasked = {}\nfor line in sys.stdin:\n"
+            "    asked[line] = asked.get(line, 0) + 1\n    print(0 if asked[line] == 2 else 1, flush=True)"
+        )
+        spec = write_spec(
+            tmp_path,
+            {
+                "schema": 1,
+                "kind": "external",
+                "command": [sys.executable, "-c", child],
+                "features": [{"name": "a", "kind": "boolean", "lower": 0, "upper": 1}],
+                "classes": ["0", "1"],
+            },
+        )
+        code, out, err = run(capsys, *argv, "--spec", spec, "--instance", "1")
+        assert (code, out) == (3, [])
+        assert [e["error"] for e in err] == ["oracle-failure"]
+
     def test_dying_process_exits_3(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path,

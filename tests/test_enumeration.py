@@ -220,6 +220,22 @@ class TestCounters:
         # without the memo the run made 22 calls; the memo answers 10 of them
         assert (report.oracle_calls, report.cache_hits) == (12, 10)
 
+    @pytest.mark.parametrize("label", [None, "", 0])
+    def test_a_falsy_label_is_kept_and_counted(self, grade, label):
+        # v is the space's lower corner: the run asks its label through the
+        # memo, the loop asks it again past the memo, and the explainer's
+        # start check gets the memo's copy; a falsy label taken for a miss
+        # would cost a fifth call and no hit
+        class Constant:
+            space, classes = grade.space, grade.classes
+
+            def classify(self, point):
+                return label
+
+        report = enumerate_explanations(Point((0, 0, 0, 0)), Constant())
+        assert (report.axp_sets(), report.cxp_sets(), report.complete) == ({frozenset()}, set(), True)
+        assert (report.oracle_calls, report.cache_hits) == (4, 1)
+
     def test_reported_oracle_calls_match_wrapper(self, grade):
         counting = CountingOracle(grade)
         report = enumerate_explanations(Point((10, 10, 5, 0)), counting)

@@ -180,7 +180,7 @@ def _pickled(formula):
     return pickle.loads(pickle.dumps(formula))
 
 
-@pytest.mark.parametrize("duplicate", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"])
 @settings(max_examples=100, deadline=None)
 @given(case=formulas(), cut=st.integers(0, 25))
 def test_copies_resume_independently(duplicate, case, cut):
