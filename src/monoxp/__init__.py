@@ -15,6 +15,7 @@ from .classifiers import (
     CountingOracle,
     ExternalProcessOracle,
     GradeClassifier,
+    InternalConsistencyError,
     LinearThresholdClassifier,
     MonotoneDnfClassifier,
     MonotonicityViolation,
@@ -32,7 +33,6 @@ from .domain import (
 from .enumeration import (
     DualityCounterexample,
     EnumerationReport,
-    InternalConsistencyError,
     brute_force_explanations,
     check_duality,
     enumerate_explanations,

@@ -20,9 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterator, Optional, Sequence, TextIO, TypeVar
 
-from .classifiers import ClassifierOracle, CountingOracle, OracleError, probe_monotonicity
+from .classifiers import ClassifierOracle, CountingOracle, OracleError, _Consistent, probe_monotonicity
 from .domain import Explanation, Point
-from .enumeration import EnumerationReport, InternalConsistencyError, enumerate_explanations
+from .enumeration import EnumerationReport, enumerate_explanations
 from .explainer import NoCxpExists, find_axp, find_cxp, verify_axp, verify_cxp
 from .satcore import to_dimacs
 from .specfile import SCHEMA_VERSION, SpecError, build_oracle, load_spec
@@ -116,25 +116,9 @@ def _feature_names(oracle: ClassifierOracle, features) -> list[str]:
     return [oracle.space.name(i) for i in sorted(features)]
 
 
-class _Consistent(CountingOracle):
-    """A counter that raises OracleError when the oracle answers a point it
-    answered before with another label, which the explainer would report as
-    a broken seed or an empty CXp."""
-
-    def __init__(self, inner: ClassifierOracle) -> None:
-        super().__init__(inner)
-        self._labels: dict[tuple, str] = {}
-
-    def classify(self, point: Point) -> str:
-        label = super().classify(point)
-        first = self._labels.setdefault(point.values, label)
-        if label != first:
-            raise OracleError(f"the oracle answered {list(point.values)} with {first!r}, then with {label!r}")
-        return label
-
-
 def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle, str], T]) -> tuple[T, dict]:
-    """Classify v through a counter, then run `work(counter, prediction)`.
+    """Classify v through a counter that holds the oracle to its first
+    answers, then run `work(counter, prediction)`.
 
     Returns the work's result and the fields every per-instance record
     shares. `time_total` covers the prediction plus the work; the counts and
@@ -456,7 +440,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NoCxpExists as exc:
         _emit_error("no-cxp-exists", str(exc))
         return EXIT_SEMANTIC
-    except (OracleError, InternalConsistencyError) as exc:
+    except OracleError as exc:
         _emit_error("oracle-failure", str(exc))
         return EXIT_ORACLE
     except (SpecError, ValueError, OSError) as exc:

@@ -100,11 +100,11 @@ class FeatureSpace:
             object.__setattr__(self, "feature_names", names)
             if len(names) != len(self.domains):
                 raise ValueError("feature_names length differs from the number of domains")
-        # Read by validate_point's compiled passes and validate_features'
-        # fast path; the explainer and the enumeration loop take
-        # _feature_set as the set of every feature. Plain attributes, not fields:
-        # equality, hashing and repr see only the domains and names, and the
-        # space still pickles and copies.
+        # Read by validate_point's compiled passes and the index checks; the
+        # explainer and the enumeration loop take _feature_set as the set of
+        # every feature. Plain attributes, not fields: equality, hashing and
+        # repr see only the domains and names, and the space still pickles
+        # and copies.
         object.__setattr__(self, "_lowers", tuple(d.lower for d in self.domains))
         object.__setattr__(self, "_uppers", tuple(d.upper for d in self.domains))
         object.__setattr__(self, "_discrete", tuple(i for i, d in enumerate(self.domains) if d.discrete))
@@ -149,24 +149,19 @@ class FeatureSpace:
 
     def validate_features(self, features: Iterable[int]) -> frozenset[int]:
         out = frozenset(features)
-        # every index a plain int of 1..N, the common case, in two set tests;
-        # a bool or 1.0 is in the range set too, so the types are tested apart
-        if out <= self._feature_set and set(map(type, out)) <= {int}:
-            return out
-        _require_ints(out, "feature indices")
-        bad = [i for i in out if not (1 <= i <= self.arity)]
-        if bad:
-            raise ValueError(f"feature indices out of range 1..{self.arity}: {sorted(bad)}")
+        # a bool or 1.0 is in the range set too, so the types are tested first
+        if not set(map(type, out)) <= {int}:
+            _require_ints(out, "feature indices")
+        if not out <= self._feature_set:
+            raise ValueError(f"feature indices out of range 1..{self.arity}: {sorted(out - self._feature_set)}")
         return out
 
     def validate_order(self, order: Sequence[int]) -> tuple[int, ...]:
         """A feature scan order, which must be a permutation of 1..N."""
         out = tuple(order)
-        # N plain ints that make up 1..N, the common case, in two set tests;
-        # a bool or 1.0 equals an index too, so the types are tested apart
-        if len(out) == self.arity and set(out) == self._feature_set and set(map(type, out)) == {int}:
-            return out
-        _require_ints(out, "order entries")
+        # a bool or 1.0 equals an index too, so the types are tested first
+        if set(map(type, out)) != {int}:
+            _require_ints(out, "order entries")
         if len(out) != self.arity or set(out) != self._feature_set:
             raise ValueError(f"order must be a permutation of 1..{self.arity}")
         return out

@@ -10,10 +10,10 @@ blocking clause: positive over an AXp's features, negative over a CXp's.
 One extra satisfiability call proves completion, so a finished run makes
 exactly len(axps) + len(cxps) + 1 solver calls.
 
-A run asks the oracle through its own `_Memo`, which counts the calls and
-keeps their answers for the run, so a point reaches the oracle once per
-run, except the loop's corners, which go past the memo so that a changed
-answer shows.
+A run asks the oracle through its own `_Memo`, so a point reaches the
+oracle once per run, except the loop's corners, which it asks each time.
+An answer that differs from the run's first answer to the same point
+raises InternalConsistencyError, an OracleError.
 
 A run checks its arguments once, where they enter. The loop hands the
 explainer the point `validate_point` returned for v, which the run's space
@@ -34,46 +34,44 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .classifiers import ClassifierOracle, CountingOracle
+from .classifiers import ClassifierOracle, CountingOracle, _Consistent
 from .domain import Explanation, ExplanationKind, Point, _is_int, _is_number
-from .explainer import SeedBreaksInvariant, _agrees, _bounds, find_axp, find_cxp, verify_axp
+from .explainer import _agrees, _bounds, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
-
-
-class InternalConsistencyError(RuntimeError):
-    """A solver model led to a seed the explainer rejected.
-
-    The explainer's seed box is the box whose corners the loop has just
-    classified past the run's memo, so it rejects the seed only when the
-    oracle answers the same point differently on a second query. A
-    deterministic oracle, monotone or not, never raises this.
-    """
 
 
 _MISSING = object()  # a memo miss: a stored label may be any value
 
 
-class _Memo(CountingOracle):
-    """A run's counter and memo. `classify` answers a point the run asked
-    before from the memo, counting it in `cache_hits`, and hands any other
-    to the inherited counting `classify`, keeping its answer. The explainer
-    asks through the memo. The loop asks each model's corners through
-    `CountingOracle.classify`, past the memo and kept out of it, one at a
-    time and never skipping the lower one, so the explainer's start check
-    asks them again: a fresh call, or the memo's copy of an earlier one."""
+class _Memo(_Consistent):
+    """A run's counter and memo, holding the oracle to its first answers.
+
+    `classify`, which the explainer asks through, answers a point the run
+    asked before from the memo, counting it in `cache_hits`, and keeps the
+    answer to any other. `corner`, which the loop asks through, always asks
+    the oracle; the answer to a corner new to the run waits out of the memo,
+    in `_corners`, never more than the model's two, until the explainer's
+    start check asks it again."""
 
     def __init__(self, inner: ClassifierOracle) -> None:
         super().__init__(inner)
         self.cache_hits = 0
-        self._cache: dict[tuple, str] = {}
+        self._corners: dict[tuple, str] = {}
 
     def classify(self, point: Point) -> str:
         label = self._cache.get(point.values, _MISSING)  # one hash of the values on a hit
         if label is _MISSING:
             label = self._cache[point.values] = CountingOracle.classify(self, point)
+            if self._corners:  # corners wait only from the loop's check to the start check
+                self._same(point, self._corners.pop(point.values, label), label)
         else:
             self.cache_hits += 1
         return label
+
+    def corner(self, point: Point) -> str:
+        label = CountingOracle.classify(self, point)
+        firsts = self._cache if point.values in self._cache else self._corners
+        return self._same(point, firsts.setdefault(point.values, label), label)
 
 
 @dataclass
@@ -124,7 +122,6 @@ def enumerate_explanations(
     if budget is not None and not (_is_number(budget) and budget >= 0):
         raise ValueError(f"budget must be a non-negative number of seconds, got {budget!r}")
     memo = _Memo(oracle)
-    fresh = super(_Memo, memo).classify  # past the memo
     space = memo.space
     v = space.validate_point(v)
     if order is not None:
@@ -147,21 +144,16 @@ def enumerate_explanations(
             report.complete = True
             break
         fixed = frozenset(i for i in space.features if model[i - 1] == 0)
-        try:
-            if _agrees(fresh, space, *_bounds(space, v, fixed), pred):
-                # the fixed side forces the prediction: some AXp inside it
-                expl = find_axp(v, memo, seed=all_features - fixed, order=order)
-                report.axps.append(expl)
-                formula._append(positive=expl.features)
-            else:
-                # the free side admits a change: some CXp inside it
-                expl = find_cxp(v, memo, seed=fixed, order=order)
-                report.cxps.append(expl)
-                formula._append(negative=expl.features)
-        except SeedBreaksInvariant as exc:
-            raise InternalConsistencyError(
-                f"model {model}: the oracle answered the same corner point differently on a second query"
-            ) from exc
+        if _agrees(memo.corner, space, *_bounds(space, v, fixed), pred):
+            # the fixed side forces the prediction: some AXp inside it
+            expl = find_axp(v, memo, seed=all_features - fixed, order=order)
+            report.axps.append(expl)
+            formula._append(positive=expl.features)
+        else:
+            # the free side admits a change: some CXp inside it
+            expl = find_cxp(v, memo, seed=fixed, order=order)
+            report.cxps.append(expl)
+            formula._append(negative=expl.features)
         if callback is not None:
             callback(expl)
     report.oracle_calls = memo.call_count

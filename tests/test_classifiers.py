@@ -31,6 +31,7 @@ from monoxp import (
     FeatureDomain,
     FeatureSpace,
     GradeClassifier,
+    InternalConsistencyError,
     LinearThresholdClassifier,
     MonotoneDnfClassifier,
     OracleError,
@@ -41,6 +42,7 @@ from monoxp import (
     probe_monotonicity,
     verify_axp,
 )
+from monoxp.classifiers import _Consistent
 
 
 class TestGradeClassifier:
@@ -216,6 +218,10 @@ class TestAppendixCnf:
         assert clf.classify(Point((1, 0, 0, 1))) == "1"
         assert clf.classify(Point((1, 0, 0, 0))) == "0"
 
+    def test_needs_a_clause(self):
+        with pytest.raises(ValueError, match="at least one clause"):
+            AppendixCnfClassifier(boolean_space(4), [])
+
     def test_trivially_satisfiable_rejected_naming_literal(self):
         with pytest.raises(ValueError, match="x1"):
             AppendixCnfClassifier(boolean_space(4), [[1, 2], [1, -2]])
@@ -305,6 +311,24 @@ class TestCountingOracle:
         counting.classify(Point((1, 2, 3, 4)))
         counting.classify(Point((1, 2, 3, 4)))
         assert counting.call_count == 2
+
+    def test_a_changed_answer_is_an_oracle_error(self):
+        # the first answer to (1, 1) is 1, the second 0: the counter that
+        # keeps first answers counts both and stops at the second
+        class FlipSecond:
+            space, classes = boolean_space(2), ClassOrder(("0", "1"))
+            asked = 0
+
+            def classify(self, point):
+                self.asked += 1
+                return "1" if self.asked == 1 else "0"
+
+        consistent = _Consistent(FlipSecond())
+        assert consistent.classify(Point((1, 1))) == "1"
+        with pytest.raises(InternalConsistencyError, match=r"answered \[1, 1\] with '1', then with '0'"):
+            consistent.classify(Point((1, 1)))
+        assert consistent.call_count == 2
+        assert issubclass(InternalConsistencyError, OracleError)
 
 
 class ClassifyOnly:
@@ -449,6 +473,12 @@ class TestExternalProcessOracle:
             for _ in range(25):
                 p = Point(tuple(rng.randint(0, 10) for _ in range(4)))
                 assert oracle.classify(p) == grade.classify(p)
+
+    @pytest.mark.parametrize("command", ["", "  ", []])
+    def test_empty_command_line_is_refused(self, command):
+        space, classes = self.grade_space()
+        with pytest.raises(ValueError, match="empty oracle command line"):
+            ExternalProcessOracle(command, space, classes)
 
     def test_unknown_label_is_hard_error(self):
         space, classes = self.grade_space()

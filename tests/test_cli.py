@@ -100,6 +100,26 @@ class TestExplain:
         assert [e["error"] for e in err] == ["invalid-input"]
         assert "'1,x'" in err[0]["message"]
 
+    @pytest.mark.parametrize(
+        "instance, values, prediction",
+        [("2.5,7.5,3.0,0", [2.5, 7.5, 3, 0], "C"), ("1e1,0,0,0", [10, 0, 0, 0], "E")],
+        ids=["decimals", "exponent"],
+    )
+    def test_decimal_cells(self, tmp_path, capsys, instance, values, prediction):
+        # a cell with an integral value is recorded as an int
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        code, out, _ = run(capsys, "explain", "--spec", spec, "--instance", instance, "--kind", "axp")
+        assert code == 0
+        assert (out[0]["instance"], out[0]["prediction"]) == (values, prediction)
+        assert list(map(type, out[0]["instance"])) == list(map(type, values))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_a_non_finite_cell_is_an_input_error(self, tmp_path, capsys, cell):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        code, out, err = run(capsys, "explain", "--spec", spec, "--instance", f"{cell},0,0,0", "--kind", "axp")
+        assert (code, out) == (1, [])
+        assert [e["error"] for e in err] == ["invalid-input"]
+
     def test_missing_required_flag(self, tmp_path, capsys):
         code = main(["explain", "--instance", "1,1,1,1", "--kind", "axp"])
         capsys.readouterr()
@@ -319,6 +339,17 @@ class TestBench:
         assert error["error"] == "malformed-row"
         assert error["message"].startswith("line 2: ")
 
+    def test_non_finite_cells_are_malformed_rows(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GRADE_SPEC)
+        instances = tmp_path / "rows.csv"
+        instances.write_text("nan,0,0,0\n10,10,5,0\n0,inf,0,0\n")
+        code, out, err = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
+        assert code == 0
+        assert [r["line"] for r in out[:-1]] == [2]
+        assert out[-1]["instances"] == 1 and out[-1]["errors"] == 2
+        assert [e["error"] for e in err] == ["malformed-row"] * 2
+        assert [e["message"][:8] for e in err] == ["line 1: ", "line 3: "]
+
     def test_a_first_row_with_a_number_is_data(self, tmp_path, capsys):
         # one bad cell does not make a header: the row is reported, not dropped
         spec = write_spec(tmp_path, GRADE_SPEC)
@@ -533,6 +564,35 @@ class TestExternalOracle:
         assert (code, out) == (3, [])
         assert [e["error"] for e in err] == ["oracle-failure"]
 
+    @pytest.mark.parametrize("command", ["enumerate", "bench"])
+    def test_a_changed_answer_ends_a_run(self, tmp_path, capsys, command):
+        # a monotone linear child over three integer features that flips its
+        # answer to every repeated request; the run hears one on the
+        # explainer's first start check and must end with one error and no
+        # record
+        child = (
+            "import sys\nasked = {}\nfor line in sys.stdin:\n"
+            "    asked[line] = asked.get(line, 0) + 1\n"
+            "    a, b, c = map(int, line.split(','))\n"
+            "    print(['lo', 'hi'][(3 * a + b + 2 * c >= 15) != (asked[line] > 1)], flush=True)"
+        )
+        spec = write_spec(
+            tmp_path,
+            {
+                "schema": 1,
+                "kind": "external",
+                "command": [sys.executable, "-c", child],
+                "features": [{"kind": "integer", "lower": 0, "upper": 5}] * 3,
+                "classes": ["lo", "hi"],
+            },
+        )
+        rows = tmp_path / "rows.csv"
+        rows.write_text("4,4,4\n")
+        where = ["--instance", "4,4,4"] if command == "enumerate" else ["--instances", str(rows)]
+        code, out, err = run(capsys, command, "--spec", spec, *where)
+        assert (code, out) == (3, [])
+        assert [e["error"] for e in err] == ["oracle-failure"]
+
     def test_dying_process_exits_3(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path,
@@ -728,6 +788,31 @@ class TestSpecLoading:
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "1,1,1,1")
         assert code == 0
         assert out[-1]["axp_count"] == 4
+
+    def test_appendix_cnf_features_must_be_twice_the_variables_in_booleans(self):
+        cnf = {"schema": 1, "kind": "appendix-cnf", "variables": 2, "clauses": [[1, 2], [-1, -2]]}
+        boolean = {"kind": "boolean", "lower": 0, "upper": 1}
+        named = [{**boolean, "name": name} for name in "abcd"]
+        assert build_oracle({**cnf, "features": named}).space.feature_names == tuple("abcd")
+        for features, message in (
+            ([boolean] * 3, "needs 4 boolean features"),
+            ([{**boolean, "kind": "integer"}] * 4, "must all be boolean"),
+        ):
+            with pytest.raises(SpecError, match=message):
+                build_oracle({**cnf, "features": features})
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"schema": 1, "kind": "appendix-cnf", "variables": 2, "clauses": []}, "at least one clause"),
+            ({**MAJORITY_SPEC, "kind": "external", "classes": ["0", "1"], "command": ""}, "empty oracle command line"),
+            ({**MAJORITY_SPEC, "kind": "external", "classes": ["0", "1"], "command": []}, "empty oracle command line"),
+        ],
+        ids=["cnf-clauses", "command-text", "command-list"],
+    )
+    def test_an_empty_clause_list_or_command_is_refused(self, spec, message):
+        with pytest.raises(SpecError, match=message):
+            build_oracle(spec)
 
     def test_trivially_satisfiable_cnf_rejected_at_load(self, tmp_path, capsys):
         spec = write_spec(

@@ -80,6 +80,10 @@ class TestSpaceAndPoints:
         with pytest.raises(ValueError):
             FeatureSpace(())
 
+    def test_point_needs_coordinates(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            Point(())
+
     def test_names_length_checked(self):
         with pytest.raises(ValueError):
             FeatureSpace((FeatureDomain("boolean", 0, 1),), ("a", "b"))
@@ -328,6 +332,10 @@ class TestClassOrder:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             ClassOrder(("a", "a"))
+
+    def test_needs_a_label(self):
+        with pytest.raises(ValueError, match="at least one label"):
+            ClassOrder(())
 
 
 class TestExplanationType:

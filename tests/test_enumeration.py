@@ -17,6 +17,7 @@ from monoxp import (
     FeatureSpace,
     GradeClassifier,
     InternalConsistencyError,
+    LinearThresholdClassifier,
     MonotoneDnfClassifier,
     Point,
     brute_force_explanations,
@@ -349,6 +350,27 @@ _PINNED_CNF_RUNS = [
 ]
 
 
+class FlipRepeats(ClassifierOracle):
+    """A two-class oracle that answers a point's first request truly and
+    flips its answer to a repeated one: to every repeat, or to the `nth`
+    repeated request of the run only."""
+
+    def __init__(self, inner, nth=None):
+        self.inner, self.space, self.classes = inner, inner.space, inner.classes
+        self.nth, self.seen, self.repeats = nth, set(), 0
+
+    def classify(self, point):
+        label = self.inner.classify(point)
+        if point.values not in self.seen:
+            self.seen.add(point.values)
+            return label
+        self.repeats += 1
+        if self.nth in (None, self.repeats):
+            labels = self.classes.labels
+            return labels[1 - labels.index(label)]
+        return label
+
+
 class TestOneWrapperPerRun:
     """The run asks the oracle through one counting, memoising wrapper; the
     loop's corners go past the memo. The counts and families are
@@ -431,3 +453,63 @@ class TestOneWrapperPerRun:
         assert report.complete
         assert (calls["axp"], calls["cxp"]) == (len(report.axps), len(report.cxps))
         assert report.oracle_calls == left["counted"]
+
+    def test_every_flipped_repeat_is_caught_and_named(self):
+        # v = (1, 1) is 1 and the loop's first lower corner (0, 0) is 0, so
+        # the run takes the CXp branch; the explainer's start check asks
+        # (0, 0) again and hears 1
+        oracle = FlipRepeats(MonotoneDnfClassifier(boolean_space(2), [[1]]))
+        with pytest.raises(InternalConsistencyError, match=r"answered \[0, 0\] with '0', then with '1'"):
+            enumerate_explanations(Point((1, 1)), oracle)
+
+    def test_one_flipped_repeat_is_caught_or_harmless(self):
+        # a flip the run hears must end it; one it never hears must leave
+        # the deterministic run's families
+        outcomes = {"raised": 0, "right": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(3, 7)
+            clf = random_monotone_dnf(n, rng.randint(1, n), rng)
+            v = Point(tuple(rng.randint(0, 1) for _ in range(n)))
+            oracle = FlipRepeats(clf, nth=rng.randint(1, 5))
+            expected = enumerate_explanations(v, clf)
+            try:
+                report = enumerate_explanations(v, oracle)
+            except InternalConsistencyError:
+                outcomes["raised"] += 1
+                continue
+            assert report.complete, seed
+            assert (report.axp_sets(), report.cxp_sets()) == (expected.axp_sets(), expected.cxp_sets()), seed
+            outcomes["right"] += 1
+        assert outcomes == {"raised": 250, "right": 50}
+
+    @pytest.mark.parametrize(
+        "clf, v, most",
+        [
+            (GradeClassifier(), Point((10, 10, 5, 0)), 1),
+            (_draw_appendix_cnf(random.Random(3), 5), Point((1,) * 10), 1),
+            (_draw_appendix_cnf(random.Random(3), 5), Point((0,) * 10), 1),
+            # constant: both corners of the first model are new and agree
+            (LinearThresholdClassifier(FeatureSpace((FeatureDomain("integer", 0, 2),) * 2), [1, 1], [], ClassOrder(("c",))),
+             Point((1, 1)), 2),
+        ],
+        ids=["grade", "cnf-ones", "cnf-zeros", "constant"],
+    )
+    def test_at_most_the_models_two_corners_wait_for_the_start_check(self, clf, v, most, monkeypatch):
+        # a corner new to the run waits outside the memo until the explainer's
+        # start check asks it again, so none is left after the explainer
+        waiting = []
+
+        def checked(find):
+            def explain(v, oracle, seed, order):
+                waiting.append(len(oracle._corners))
+                expl = find(v, oracle, seed=seed, order=order)
+                assert not oracle._corners
+                return expl
+
+            return explain
+
+        monkeypatch.setattr(monoxp.enumeration, "find_axp", checked(monoxp.enumeration.find_axp))
+        monkeypatch.setattr(monoxp.enumeration, "find_cxp", checked(monoxp.enumeration.find_cxp))
+        assert enumerate_explanations(v, clf).complete
+        assert max(waiting) == most

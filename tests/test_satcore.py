@@ -35,6 +35,10 @@ class TestClause:
 
 
 class TestFormula:
+    def test_needs_a_variable(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            CnfFormula(0)
+
     def test_out_of_range_variable_rejected(self):
         formula = CnfFormula(2)
         with pytest.raises(ValueError):
