@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import queue
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +41,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+# a value argparse would read as an option: "-" and a digit, or "-." and a digit
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """Hand each value that starts like a negative number to the option
+    before it, as `--instance=-1,0`.
+
+    argparse reads such a value as an option unless it is one negative
+    number, so `--instance -1,0` would fail as a usage error. No option of
+    this tool starts with "-" and a digit."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--" and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _at_least(minimum, convert):
@@ -432,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -5,22 +5,30 @@ A box pins each feature to its value in v or frees it over its whole
 domain. For a monotonic oracle and a box that holds v, the lower corner's
 label is at most v's and the upper corner's at least v's, so the box
 forces the prediction exactly when both corners carry v's label.
-`verify_axp`/`verify_cxp` compare the two corners' labels; the scan and
-the enumeration loop ask through `_agrees`, which stops at the first
-corner that differs from v's label. An AXp scan starts from the box pinned
-to v and tries to free each feature; a CXp scan starts from the whole box
-and tries to pin each feature. Each scanned feature costs at most two
-oracle calls, so a run costs at most 2N+2 calls including those that
-establish the starting invariant.
+`verify_axp`/`verify_cxp` compare the two corners' labels; the
+enumeration loop asks through `_agrees`, and the scan steps the same way,
+each stopping at the first corner that differs from v's label. An AXp scan
+starts from the box pinned to v and tries to free each feature; a CXp scan
+starts from the whole box and tries to pin each feature. Each scanned
+feature costs at most two oracle calls, so a run costs at most 2N+2 calls
+including those that establish the starting invariant.
+
+The scan skips a corner whose label is already known. When v's label is
+the bottom class, every lower corner carries it, and when it is the top
+class, every upper corner does; a CXp scan's boxes only shrink toward v,
+so once a box it keeps has a lower corner with v's label, so does every
+later one. A scan step then costs one call, and a scan whose v's label is
+an end of the class order costs at most N+2 calls (AXp) or N+3 (CXp,
+which asks v first). The start checks still ask their corners, apart from
+an AXp start box of v alone, which asks v once.
 
 The scan keeps a box as the value lists of its two corners and builds a
-corner's tuple and `Point` only just before it asks it: the upper corner
-only when the lower one carries v's label, the lower one never once it is
-known to. A corner carries the space that built it from a validated v,
-which then does not check it again. The picked features are plain ints of
-1..N by construction, so the scan returns them through a private
-`Explanation` constructor that skips the per-index checks; it still
-refuses an empty CXp, which an oracle that changes its answer can cause.
+corner's tuple and `Point` only just before it asks it. A corner carries
+the space that built it from a validated v, which then does not check it
+again. The picked features are plain ints of 1..N by construction, so the
+scan returns them through a private `Explanation` constructor that skips
+the per-index checks; it still refuses an empty CXp, which an oracle that
+changes its answer can cause.
 """
 
 from __future__ import annotations
@@ -91,13 +99,13 @@ def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
     return not verify_axp(frozenset(oracle.space.features) - freed, v, oracle)
 
 
-def _agrees(ask: Callable[[Point], str], space: FeatureSpace, low: list, up: list, pred: str, low_known: bool = False) -> bool:
+def _agrees(ask: Callable[[Point], str], space: FeatureSpace, low: list, up: list, pred: str) -> bool:
     """Do both corners of a box that holds v carry v's label `pred`, that is,
     for a monotonic oracle, does the box force the prediction? `low` and
     `up` are the corners' values, from `_bounds`; each becomes a corner of
-    `space` only when it is asked. The lower corner is asked first, unless
-    `low_known`, and decides alone if it differs."""
-    return (low_known or ask(_corner(tuple(low), space)) == pred) and ask(_corner(tuple(up), space)) == pred
+    `space` only when it is asked. The lower corner is asked first and
+    decides alone if it differs."""
+    return ask(_corner(tuple(low), space)) == pred and ask(_corner(tuple(up), space)) == pred
 
 
 def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, order) -> Explanation:
@@ -112,6 +120,9 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
     An AXp scan takes v's label from its start corners. A CXp scan asks v;
     once its start box's lower corner carries v's label, so does every later
     one, as the boxes only shrink toward v, and it asks upper corners alone.
+    The steps skip the corners an end of the class order decides, and a CXp
+    step that keeps a box whose lower corner carries v's label skips every
+    later lower corner.
     """
     space = oracle.space
     v = space.validate_point(v)
@@ -122,9 +133,13 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
     ask = oracle.classify
     low, up = _bounds(space, v, everything - seed_set if agree else seed_set)
     if agree:
-        pred = ask(_corner(tuple(low), space))
+        if seed_set:
+            pred = ask(_corner(tuple(low), space))
+            holds = ask(_corner(tuple(up), space)) == pred
+        else:
+            # a start box of v alone has v for both its corners
+            pred, holds = ask(v), True
         low_known = False
-        holds = ask(_corner(tuple(up), space)) == pred
     else:
         pred = ask(v)
         # a start box of v alone has v for its lower corner
@@ -136,6 +151,11 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         if not seed_set:
             raise NoCxpExists("the classifier is constant over the feature space box")
         raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
+    # κ(low) <= κ(v) <= κ(up) in every box that holds v, so the bottom class
+    # decides every lower corner and the top class every upper one
+    labels = oracle.classes.labels
+    low_known = low_known or pred == labels[0]
+    up_known = pred == labels[-1]
     target_low, target_up = (space._lowers, space._uppers) if agree else (v.values, v.values)
     # a set, not a list: frozenset copies a set's table at its size, which for
     # 5-7 features is 472 bytes against 728 from a list, and callers keep families
@@ -146,9 +166,14 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         j = i - 1
         was = low[j], up[j]
         low[j], up[j] = target_low[j], target_up[j]
-        if _agrees(ask, space, low, up, pred, low_known) != agree:
+        low_holds = low_known or ask(_corner(tuple(low), space)) == pred
+        if (low_holds and (up_known or ask(_corner(tuple(up), space)) == pred)) != agree:
             low[j], up[j] = was
             picked.add(i)
+        elif not agree:
+            # a kept CXp box only shrinks toward v, so once its lower corner
+            # carries pred every later one does
+            low_known = low_holds
     return _explanation(kind, frozenset(picked))
 
 

@@ -31,6 +31,16 @@ CONSTANT_SPEC = {
     "thresholds": [],
 }
 
+# score a + b over two integers in [-5, 5]: "hi" from 0 up
+SIGNED_SPEC = {
+    "schema": 1,
+    "kind": "linear",
+    "features": [{"name": name, "kind": "integer", "lower": -5, "upper": 5} for name in "ab"],
+    "classes": ["lo", "hi"],
+    "weights": [1, 1],
+    "thresholds": [0],
+}
+
 # the same child, except that it exits when asked about the point 1,2,3,4
 DYING_GRADE_CHILD = GRADE_CHILD.replace(
     "for line in sys.stdin:\n",
@@ -126,6 +136,35 @@ class TestExplain:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, record_type, features",
+    [
+        (["explain", "--kind", "axp"], "explanation", [1, 2]),
+        (["explain", "--kind", "cxp"], "explanation", [2]),
+        (["enumerate"], "summary", None),
+        (["verify", "--kind", "axp", "--features", "1,2"], "verification", [1, 2]),
+    ],
+    ids=["explain-axp", "explain-cxp", "enumerate", "verify"],
+)
+def test_a_negative_instance_is_read_as_a_value(tmp_path, capsys, argv, record_type, features):
+    # argparse alone takes "-1,0" for an option and exits with usage text
+    spec = write_spec(tmp_path, SIGNED_SPEC)
+    code, out, err = run(capsys, *argv[:1], "--spec", spec, "--instance", "-1,0", *argv[1:])
+    assert (code, err) == (0, [])
+    assert (out[-1]["type"], out[-1]["instance"], out[-1]["prediction"]) == (record_type, [-1, 0], "lo")
+    if features is not None:
+        assert out[-1]["features"] == features
+    else:
+        assert out[-1]["complete"] is True and (out[-1]["axp_count"], out[-1]["cxp_count"]) == (1, 2)
+
+
+def test_a_negative_order_is_an_input_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, SIGNED_SPEC)
+    code, out, err = run(capsys, "explain", "--spec", spec, "--instance", "-1,0", "--kind", "axp", "--order", "-1,2")
+    assert (code, out) == (1, [])
+    assert [e["error"] for e in err] == ["invalid-input"]
+
+
 class TestEnumerate:
     def test_grade_stream_and_summary(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
@@ -146,8 +185,8 @@ class TestEnumerate:
         spec = write_spec(tmp_path, GRADE_SPEC)
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
         assert code == 0
-        # the prediction plus the run's 12 calls; the memo answered 10 more
-        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 10)
+        # the prediction plus the run's 12 calls; the memo answered 8 more
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 8)
         report = monoxp.enumerate_explanations(Point((10, 10, 5, 0)), GradeClassifier())
         assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (1 + report.oracle_calls, report.cache_hits)
 
@@ -288,7 +327,7 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
         assert code == 0
         *rows, aggregate = out
-        assert rows[0]["cache_hits"] == 10
+        assert rows[0]["cache_hits"] == 8
         assert aggregate["cache_hits_avg"] == sum(r["cache_hits"] for r in rows) / 3
 
     def test_aggregate_sums_the_solver_time(self, tmp_path, capsys):

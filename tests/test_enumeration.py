@@ -218,8 +218,8 @@ class TestCounters:
         axps, cxps = brute_force_explanations(v, grade)
         assert report.axp_sets() == set(axps)
         assert report.cxp_sets() == set(cxps)
-        # without the memo the run made 22 calls; the memo answers 10 of them
-        assert (report.oracle_calls, report.cache_hits) == (12, 10)
+        # without the memo the run made 20 calls; the memo answers 8 of them
+        assert (report.oracle_calls, report.cache_hits) == (12, 8)
 
     @pytest.mark.parametrize("label", [None, "", 0])
     def test_a_falsy_label_is_kept_and_counted(self, grade, label):
@@ -305,48 +305,49 @@ def test_appendix_cnf_k10_enumeration(corner):
 # digits of the sha256 of the stream of explanations, repr([(kind, sorted
 # features), ...]). The families, streams and sat_calls were recorded before
 # the loop kept one oracle wrapper; the two counters since each box is
-# decided one corner at a time.
+# decided one corner at a time, and cache_hits since the scan skips the
+# corners an end of the class order decides, which at these corners are v.
 _PINNED_CNF_RUNS = [
-    (0, 5, 0, 38, 230, 284, 31, 6, "6f90609862b7aad3"),
-    (0, 5, 1, 38, 293, 230, 6, 31, "c6a2569575b152b2"),
-    (1, 6, 0, 71, 448, 664, 64, 6, "796dd48403d4c408"),
-    (1, 6, 1, 71, 664, 525, 6, 64, "14c15449898355e0"),
-    (2, 7, 0, 136, 917, 1500, 128, 7, "c3aa2253070726b2"),
-    (2, 7, 1, 136, 1500, 1167, 7, 128, "8f49175f24cc29d1"),
-    (3, 5, 0, 38, 227, 283, 31, 6, "19d4ce29e0c8dc9a"),
-    (3, 5, 1, 38, 268, 240, 6, 31, "5be6ffb48f466a2d"),
-    (4, 6, 0, 68, 446, 608, 59, 8, "009f53f0f185046a"),
-    (4, 6, 1, 68, 622, 488, 8, 59, "12cdb1799e9b1667"),
-    (5, 7, 0, 134, 937, 1420, 122, 11, "67ccfe3525f7f136"),
-    (5, 7, 1, 134, 1431, 1135, 11, 122, "59b1b3b60fa024e6"),
-    (6, 5, 0, 38, 222, 292, 32, 5, "31847a3d1a37e730"),
-    (6, 5, 1, 38, 292, 235, 5, 32, "9d57b6a5bedb28f7"),
-    (7, 6, 0, 70, 455, 631, 61, 8, "ab21cf7547388891"),
-    (7, 6, 1, 70, 623, 507, 8, 61, "854d146dcab7dba1"),
-    (8, 7, 0, 136, 917, 1500, 128, 7, "c3aa2253070726b2"),
-    (8, 7, 1, 136, 1500, 1167, 7, 128, "8f49175f24cc29d1"),
-    (9, 5, 0, 38, 232, 274, 30, 7, "73f8e00fbb233bf8"),
-    (9, 5, 1, 38, 287, 226, 7, 30, "8c0306a1b12e4ea1"),
-    (10, 6, 0, 71, 448, 664, 64, 6, "796dd48403d4c408"),
-    (10, 6, 1, 71, 664, 525, 6, 64, "14c15449898355e0"),
-    (11, 7, 0, 134, 923, 1446, 124, 9, "0567b2e2651e7249"),
-    (11, 7, 1, 134, 1466, 1135, 9, 124, "553ab5177b3d381a"),
-    (12, 5, 0, 38, 222, 292, 32, 5, "31847a3d1a37e730"),
-    (12, 5, 1, 38, 292, 235, 5, 32, "9d57b6a5bedb28f7"),
-    (13, 6, 0, 71, 460, 642, 62, 8, "cef8e8a8e2dfe950"),
-    (13, 6, 1, 71, 611, 532, 8, 62, "2441a74caead6166"),
-    (14, 7, 0, 134, 937, 1420, 122, 11, "e9327923d5d3c4ed"),
-    (14, 7, 1, 134, 1457, 1121, 11, 122, "9d973009e483dc27"),
-    (15, 5, 0, 38, 235, 275, 30, 7, "12d53cc33e9e0e24"),
-    (15, 5, 1, 38, 290, 226, 7, 30, "c4cedc1b43265664"),
-    (16, 6, 0, 71, 460, 642, 62, 8, "4c363953b36ef1fb"),
-    (16, 6, 1, 71, 648, 517, 8, 62, "6912e512e57385f2"),
-    (17, 7, 0, 136, 924, 1487, 127, 8, "e55b5b415ec7208a"),
-    (17, 7, 1, 136, 1493, 1163, 8, 127, "ed85cefceda9ca6a"),
-    (18, 5, 0, 37, 226, 273, 30, 6, "a993da9485a63722"),
-    (18, 5, 1, 37, 291, 217, 6, 30, "196c90a1b76f6cbc"),
-    (19, 6, 0, 71, 460, 642, 62, 8, "70bc29ffa0d06f38"),
-    (19, 6, 1, 71, 659, 514, 8, 62, "73055f6527c02f66"),
+    (0, 5, 0, 38, 230, 129, 31, 6, "6f90609862b7aad3"),
+    (0, 5, 1, 38, 293, 75, 6, 31, "c6a2569575b152b2"),
+    (1, 6, 0, 71, 448, 280, 64, 6, "796dd48403d4c408"),
+    (1, 6, 1, 71, 664, 141, 6, 64, "14c15449898355e0"),
+    (2, 7, 0, 136, 917, 604, 128, 7, "c3aa2253070726b2"),
+    (2, 7, 1, 136, 1500, 271, 7, 128, "8f49175f24cc29d1"),
+    (3, 5, 0, 38, 227, 128, 31, 6, "19d4ce29e0c8dc9a"),
+    (3, 5, 1, 38, 268, 85, 6, 31, "5be6ffb48f466a2d"),
+    (4, 6, 0, 68, 446, 254, 59, 8, "009f53f0f185046a"),
+    (4, 6, 1, 68, 622, 134, 8, 59, "12cdb1799e9b1667"),
+    (5, 7, 0, 134, 937, 566, 122, 11, "67ccfe3525f7f136"),
+    (5, 7, 1, 134, 1431, 281, 11, 122, "59b1b3b60fa024e6"),
+    (6, 5, 0, 38, 222, 132, 32, 5, "31847a3d1a37e730"),
+    (6, 5, 1, 38, 292, 75, 5, 32, "9d57b6a5bedb28f7"),
+    (7, 6, 0, 70, 455, 265, 61, 8, "ab21cf7547388891"),
+    (7, 6, 1, 70, 623, 141, 8, 61, "854d146dcab7dba1"),
+    (8, 7, 0, 136, 917, 604, 128, 7, "c3aa2253070726b2"),
+    (8, 7, 1, 136, 1500, 271, 7, 128, "8f49175f24cc29d1"),
+    (9, 5, 0, 38, 232, 124, 30, 7, "73f8e00fbb233bf8"),
+    (9, 5, 1, 38, 287, 76, 7, 30, "8c0306a1b12e4ea1"),
+    (10, 6, 0, 71, 448, 280, 64, 6, "796dd48403d4c408"),
+    (10, 6, 1, 71, 664, 141, 6, 64, "14c15449898355e0"),
+    (11, 7, 0, 134, 923, 578, 124, 9, "0567b2e2651e7249"),
+    (11, 7, 1, 134, 1466, 267, 9, 124, "553ab5177b3d381a"),
+    (12, 5, 0, 38, 222, 132, 32, 5, "31847a3d1a37e730"),
+    (12, 5, 1, 38, 292, 75, 5, 32, "9d57b6a5bedb28f7"),
+    (13, 6, 0, 71, 460, 270, 62, 8, "cef8e8a8e2dfe950"),
+    (13, 6, 1, 71, 611, 160, 8, 62, "2441a74caead6166"),
+    (14, 7, 0, 134, 937, 566, 122, 11, "e9327923d5d3c4ed"),
+    (14, 7, 1, 134, 1457, 267, 11, 122, "9d973009e483dc27"),
+    (15, 5, 0, 38, 235, 125, 30, 7, "12d53cc33e9e0e24"),
+    (15, 5, 1, 38, 290, 76, 7, 30, "c4cedc1b43265664"),
+    (16, 6, 0, 71, 460, 270, 62, 8, "4c363953b36ef1fb"),
+    (16, 6, 1, 71, 648, 145, 8, 62, "6912e512e57385f2"),
+    (17, 7, 0, 136, 924, 598, 127, 8, "e55b5b415ec7208a"),
+    (17, 7, 1, 136, 1493, 274, 8, 127, "ed85cefceda9ca6a"),
+    (18, 5, 0, 37, 226, 123, 30, 6, "a993da9485a63722"),
+    (18, 5, 1, 37, 291, 67, 6, 30, "196c90a1b76f6cbc"),
+    (19, 6, 0, 71, 460, 270, 62, 8, "70bc29ffa0d06f38"),
+    (19, 6, 1, 71, 659, 142, 8, 62, "73055f6527c02f66"),
 ]
 
 

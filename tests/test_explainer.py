@@ -20,6 +20,7 @@ from monoxp import (
     ExplanationKind,
     FeatureDomain,
     FeatureSpace,
+    GradeClassifier,
     LinearThresholdClassifier,
     MonotoneDnfClassifier,
     NoCxpExists,
@@ -49,19 +50,22 @@ class RecordingOracle(ClassifierOracle):
 
 
 # Every point the scan asks on the grade example with order 1,2,3,4. An AXp
-# scan asks its two starting corners and takes v's label from them; a CXp
-# scan asks v, then its starting lower corner and, only if that carries v's
-# label, the upper one. Each non-seed feature's box then costs its lower
-# corner and, only if that carries v's label, its upper one. An AXp scan
-# widens feature i to [0, 10] and pins it back when picked; a CXp scan pins
-# feature i to v and widens it back when picked.
+# scan with a seed asks its two starting corners and takes v's label from
+# them; with none, its start box is v alone, asked once. A CXp scan asks v,
+# then its starting lower corner and, only if that carries v's label, the
+# upper one. Each non-seed feature's box then costs its lower corner and,
+# only if that carries v's label, its upper one. v's label A is the top
+# class, so every upper corner carries it and a scan step asks its lower
+# corner alone. An AXp scan widens feature i to [0, 10] and pins it back
+# when picked; a CXp scan pins feature i to v and widens it back when
+# picked.
 GRADE_QUERIES = [
     (find_axp, set(), {1, 2}, [
-        (10, 10, 5, 0), (10, 10, 5, 0),
+        (10, 10, 5, 0),
         (0, 10, 5, 0),
         (10, 0, 5, 0),
-        (10, 10, 0, 0), (10, 10, 10, 0),
-        (10, 10, 0, 0), (10, 10, 10, 10),
+        (10, 10, 0, 0),
+        (10, 10, 0, 0),
     ]),
     (find_axp, {3, 4}, {1, 2}, [
         (10, 10, 0, 0), (10, 10, 10, 10),
@@ -72,14 +76,14 @@ GRADE_QUERIES = [
         (10, 10, 5, 0),
         (0, 0, 0, 0),
         (10, 0, 0, 0),
-        (10, 10, 0, 0), (10, 10, 10, 10),
+        (10, 10, 0, 0),
         (10, 0, 5, 0),
         (10, 0, 5, 0),
     ]),
     (find_cxp, {2}, {1}, [
         (10, 10, 5, 0),
         (0, 10, 0, 0),
-        (10, 10, 0, 0), (10, 10, 10, 10),
+        (10, 10, 0, 0),
         (0, 10, 5, 0),
         (0, 10, 5, 0),
     ]),
@@ -104,18 +108,20 @@ GRADE_ENUMERATION_QUERIES = [
         (10, 10, 5, 0),
         # all free: the lower corner differs, CXp {2}
         (0, 0, 0, 0),
-        (0, 0, 0, 0), (10, 0, 0, 0), (10, 10, 0, 0), (10, 10, 10, 10), (10, 0, 5, 0),
+        (0, 0, 0, 0), (10, 0, 0, 0), (10, 10, 0, 0), (10, 0, 5, 0),
         # feature 2 fixed: CXp {1}
         (0, 10, 0, 0),
         (0, 10, 0, 0), (0, 10, 5, 0),
-        # features 1 and 2 fixed: the corners agree, AXp {1, 2}, all from the memo
+        # features 1 and 2 fixed: the corners agree, AXp {1, 2}; no scan
+        # asked the upper corner, so the start check asks it again
         (10, 10, 0, 0), (10, 10, 10, 10),
+        (10, 10, 10, 10),
     ]),
     (0, [
         (10, 10, 5, 0),
         # all fixed: the corners agree, AXp {1, 2}
         (10, 10, 5, 0), (10, 10, 5, 0),
-        (0, 10, 5, 0), (10, 0, 5, 0), (10, 10, 0, 0), (10, 10, 10, 0), (10, 10, 10, 10),
+        (0, 10, 5, 0), (10, 0, 5, 0), (10, 10, 0, 0),
         # feature 2 free: CXp {2}, all from the memo
         (10, 0, 5, 0),
         # feature 1 free: CXp {1}, all from the memo
@@ -154,6 +160,27 @@ def test_grade_enumeration_requests_over_a_pipe(tmp_path, polarity, queries):
     assert logged_requests(log) == request_lines(queries)
 
 
+def test_a_cxp_scan_stops_asking_lower_corners_once_a_kept_box_carries_the_label():
+    # score a+b+c+d over [0, 2]^4: "lo" below 2, "mid" below 5, then "hi";
+    # v scores 4, "mid", so neither end of the class order decides a corner
+    space = FeatureSpace(tuple(FeatureDomain("integer", 0, 2) for _ in range(4)))
+    oracle = RecordingOracle(LinearThresholdClassifier(space, [1] * 4, [2, 5], ClassOrder(("lo", "mid", "hi"))))
+    v = Point((1, 1, 1, 1))
+    expl = find_cxp(v, oracle, order=(1, 2, 3, 4))
+    assert expl.features == {4}
+    # v; the lower start corner differs; pinning 1 keeps a box whose lower
+    # corner differs; pinning 2 keeps one whose lower corner carries "mid"
+    # and whose upper one differs; from then on only upper corners
+    assert oracle.points == [
+        (1, 1, 1, 1),
+        (0, 0, 0, 0),
+        (1, 0, 0, 0),
+        (1, 1, 0, 0), (1, 1, 2, 2),
+        (1, 1, 1, 2),
+        (1, 1, 1, 1),
+    ]
+
+
 class TestFindAxp:
     def test_grade_running_example(self, grade):
         expl = find_axp(Point((10, 10, 5, 0)), grade, order=(1, 2, 3, 4))
@@ -190,10 +217,10 @@ class TestFindAxp:
                 find_axp(Point((10, 10, 5, 0)), grade, order=(bad, 2, 3, 4))
 
     def test_call_count_as_pinned_and_within_the_bound(self, grade):
-        # a picked feature costs one call, a freed one two
+        # v's label is the top class: v once, then one call per feature
         counting = CountingOracle(grade)
         find_axp(Point((10, 10, 5, 0)), counting)
-        assert counting.call_count == 8 <= 2 * 4 + 2
+        assert counting.call_count == 5 <= 4 + 2
         counting = CountingOracle(grade)
         find_axp(Point((10, 10, 5, 0)), counting, seed={3, 4})
         assert counting.call_count == 4 <= 2 * (4 - 2) + 2
@@ -227,9 +254,9 @@ class TestFindCxp:
     def test_call_count_bound(self, majority):
         counting = CountingOracle(majority)
         find_cxp(Point((1, 1, 1)), counting)
-        # v and the lower start corner, then one call for pinned feature 1
-        # and two for each of the picked features 2 and 3
-        assert counting.call_count == 7 <= 2 * 3 + 2
+        # v and the lower start corner, then one call per feature: v's label
+        # is the top class, so no upper corner is asked
+        assert counting.call_count == 5 <= 3 + 3
 
     def test_an_oracle_that_changes_its_answer_gets_no_empty_cxp(self):
         # v = (1,) is asked first for its label and again as the box pinned
@@ -326,3 +353,56 @@ def test_each_call_stays_within_the_call_bound(clf, data):
             except SeedBreaksInvariant:
                 pass
             assert counting.call_count <= 2 * (space.arity - len(start)) + 2
+
+
+def _grade_value(rng):
+    # the grade model reaches its end classes F and A at the edges of the box
+    return rng.choice((0, 0.5, 1, 3, 5, 7, 9, 10))
+
+
+def _bounded_scan_models(rng):
+    """A random monotone DNF, a linear model over four classes on small
+    integer domains, or the grade model, with a random point of its space."""
+    family = rng.randrange(3)
+    if family == 0:
+        n = rng.randint(1, 7)
+        clf = random_monotone_dnf(n, rng.randint(1, n), rng)
+    elif family == 1:
+        n = rng.randint(1, 6)
+        space = FeatureSpace(tuple(FeatureDomain("integer", 0, rng.randint(1, 4)) for _ in range(n)))
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        reach = sum(w * int(d.upper) for w, d in zip(weights, space.domains))
+        thresholds = sorted(rng.sample(range(1, reach + 4), 3))
+        clf = LinearThresholdClassifier(space, weights, thresholds, ClassOrder(("c0", "c1", "c2", "c3")))
+    else:
+        clf = GradeClassifier()
+        return clf, Point(tuple(_grade_value(rng) for _ in range(4)))
+    return clf, Point(tuple(d.sample(rng) for d in clf.space.domains))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_scan_at_an_end_of_the_class_order_asks_one_corner_per_feature(seed):
+    # v's label at the bottom of the class order decides every lower corner,
+    # at the top every upper one: an AXp scan then costs at most N+2 calls,
+    # a CXp scan, which asks v first, at most N+3; any scan at most 2N+2,
+    # N counting the features outside the seed
+    rng = random.Random(seed)
+    ends = 0
+    for _ in range(150):
+        clf, v = _bounded_scan_models(rng)
+        features = list(clf.space.features)
+        order = rng.sample(features, len(features))
+        at_end = clf.classify(v) in (clf.classes.labels[0], clf.classes.labels[-1])
+        ends += at_end
+        for find, extra in ((find_axp, 2), (find_cxp, 3)):
+            for start in (set(), set(rng.sample(features, rng.randint(0, len(features)))), set(features)):
+                counting = CountingOracle(clf)
+                try:
+                    find(v, counting, seed=start, order=order)
+                except SeedBreaksInvariant:
+                    pass
+                n = len(features) - len(start)
+                assert counting.call_count <= 2 * n + 2
+                if at_end:
+                    assert counting.call_count <= n + extra
+    assert 0 < ends < 150
