@@ -112,8 +112,9 @@ def _is_number_text(cell: str) -> bool:
     return True
 
 
-def _parse_instance(text: str, oracle: ClassifierOracle) -> Point:
-    return oracle.space.validate_point(Point(tuple(map(_parse_value, text.split(",")))))
+def _parse_instance(cells: Sequence[str], oracle: ClassifierOracle) -> Point:
+    """An --instance value split at its commas, or a CSV row's cells, as a point of the oracle's space."""
+    return oracle.space.validate_point(Point(tuple(map(_parse_value, cells))))
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -161,7 +162,10 @@ def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle,
 
 
 def _report_counts(counted: dict, report: EnumerationReport) -> dict:
-    """Add the run's calls and classifier time to the prediction's in `counted`; return the run's other fields."""
+    """Add the run's calls and classifier time to the prediction's in `counted`; return the run's other fields.
+
+    A run whose own answer for v is not the prediction is an InternalConsistencyError."""
+    _Consistent._same(Point(tuple(counted["instance"])), counted["prediction"], report.prediction)
     counted["oracle_calls"] += report.oracle_calls
     counted["time_classifier"] += report.classify_seconds
     return {
@@ -186,7 +190,7 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
 
 def cmd_explain(args) -> int:
     with build_oracle(load_spec(args.spec)) as oracle:
-        v = _parse_instance(args.instance, oracle)
+        v = _parse_instance(args.instance.split(","), oracle)
         order = _parse_order(args.order, oracle)
         find = find_axp if args.kind == "axp" else find_cxp
         with _output(args.output) as stream:
@@ -220,7 +224,7 @@ def cmd_enumerate(args) -> int:
     if args.dump_cnf and _same_file(args.output, args.dump_cnf):
         raise ValueError(f"--output and --dump-cnf name the same file: {args.dump_cnf}")
     with build_oracle(load_spec(args.spec)) as oracle:
-        v = _parse_instance(args.instance, oracle)
+        v = _parse_instance(args.instance.split(","), oracle)
         order = _parse_order(args.order, oracle)
         with ExitStack() as stack:
             # both paths open before the run, so a bad one costs no work
@@ -260,7 +264,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     with build_oracle(load_spec(args.spec)) as oracle:
-        v = _parse_instance(args.instance, oracle)
+        v = _parse_instance(args.instance.split(","), oracle)
         features = _parse_features(args.features, oracle)
         check = verify_axp if args.kind == "axp" else verify_cxp
 
@@ -327,7 +331,7 @@ def _read_instance_rows(path: str) -> list[tuple[int, list]]:
 
 def _bench_one(oracle: ClassifierOracle, line: int, cells: list) -> dict:
     try:
-        point = oracle.space.validate_point(Point(tuple(map(_parse_value, cells))))
+        point = _parse_instance(cells, oracle)
         report, counted = _counted(oracle, point, lambda *_: enumerate_explanations(point, oracle))
     except ValueError as exc:
         return _record("row-error", line=line, message=str(exc))

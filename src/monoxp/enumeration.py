@@ -11,9 +11,10 @@ One extra satisfiability call proves completion, so a finished run makes
 exactly len(axps) + len(cxps) + 1 solver calls.
 
 A run asks the oracle through its own `_Memo`, so a point reaches the
-oracle once per run, except the loop's corners, which it asks each time.
-An answer that differs from the run's first answer to the same point
-raises InternalConsistencyError, an OracleError.
+oracle once per run, except the loop's corners: the loop asks a corner the
+run knows once more, and one new to the run twice in a row. An answer that
+differs from the run's first answer to the same point raises
+InternalConsistencyError, an OracleError.
 
 A run checks its arguments once, where they enter. The loop hands the
 explainer the point `validate_point` returned for v, which the run's space
@@ -35,8 +36,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, CountingOracle, _Consistent
-from .domain import Explanation, ExplanationKind, Point, _is_int, _is_number
-from .explainer import _agrees, _bounds, find_axp, find_cxp, verify_axp
+from .domain import Explanation, ExplanationKind, Point, _corner, _is_int, _is_number
+from .explainer import _bounds, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
 
 
@@ -48,36 +49,33 @@ class _Memo(_Consistent):
 
     `classify`, which the explainer asks through, answers a point the run
     asked before from the memo, counting it in `cache_hits`, and keeps the
-    answer to any other. `corner`, which the loop asks through, always asks
-    the oracle; the answer to a corner new to the run waits out of the memo,
-    in `_corners`, never more than the model's two, until the explainer's
-    start check asks it again."""
+    answer to any other. `corner`, which the loop asks through, asks the
+    oracle for a point new to the run and keeps the answer; then it asks
+    again, for any point, and compares the answer with the first one."""
 
     def __init__(self, inner: ClassifierOracle) -> None:
         super().__init__(inner)
         self.cache_hits = 0
-        self._corners: dict[tuple, str] = {}
 
     def classify(self, point: Point) -> str:
         label = self._cache.get(point.values, _MISSING)  # one hash of the values on a hit
         if label is _MISSING:
             label = self._cache[point.values] = CountingOracle.classify(self, point)
-            if self._corners:  # corners wait only from the loop's check to the start check
-                self._same(point, self._corners.pop(point.values, label), label)
         else:
             self.cache_hits += 1
         return label
 
     def corner(self, point: Point) -> str:
-        label = CountingOracle.classify(self, point)
-        firsts = self._cache if point.values in self._cache else self._corners
-        return self._same(point, firsts.setdefault(point.values, label), label)
+        if point.values not in self._cache:
+            self._cache[point.values] = CountingOracle.classify(self, point)
+        return _Consistent.classify(self, point)
 
 
 @dataclass
 class EnumerationReport:
     """Everything one enumeration run produced."""
 
+    prediction: Optional[str] = None
     axps: list[Explanation] = field(default_factory=list)
     cxps: list[Explanation] = field(default_factory=list)
     sat_calls: int = 0
@@ -112,8 +110,9 @@ def enumerate_explanations(
     or `budget` (wall-clock seconds) cut the run short, yielding a prefix of
     a complete enumeration flagged complete=False; a `limit` that is no
     non-negative int or a negative or NaN `budget` is a ValueError before
-    any call. `oracle_calls` counts the calls that reached the oracle,
-    `cache_hits` the explainer's queries the run's memo answered instead.
+    any call. `prediction` is the run's first answer for v, `oracle_calls`
+    counts the calls that reached the oracle, `cache_hits` the explainer's
+    queries the run's memo answered instead.
     `classify_seconds` is the wall time spent in the oracle's calls,
     `sat_seconds` the wall time spent in the loop's satisfiability calls.
     """
@@ -130,7 +129,7 @@ def enumerate_explanations(
     formula = CnfFormula(space.arity)
     report = EnumerationReport(formula=formula)
     start = time.perf_counter()
-    pred = memo.classify(v)
+    report.prediction = pred = memo.classify(v)
     while True:
         if limit is not None and len(report.axps) + len(report.cxps) >= limit:
             break
@@ -144,7 +143,9 @@ def enumerate_explanations(
             report.complete = True
             break
         fixed = frozenset(i for i in space.features if model[i - 1] == 0)
-        if _agrees(memo.corner, space, *_bounds(space, v, fixed), pred):
+        low, up = _bounds(space, v, fixed)
+        # the lower corner decides alone if it differs
+        if memo.corner(_corner(tuple(low), space)) == pred and memo.corner(_corner(tuple(up), space)) == pred:
             # the fixed side forces the prediction: some AXp inside it
             expl = find_axp(v, memo, seed=all_features - fixed, order=order)
             report.axps.append(expl)

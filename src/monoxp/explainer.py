@@ -5,13 +5,13 @@ A box pins each feature to its value in v or frees it over its whole
 domain. For a monotonic oracle and a box that holds v, the lower corner's
 label is at most v's and the upper corner's at least v's, so the box
 forces the prediction exactly when both corners carry v's label.
-`verify_axp`/`verify_cxp` compare the two corners' labels; the
-enumeration loop asks through `_agrees`, and the scan steps the same way,
-each stopping at the first corner that differs from v's label. An AXp scan
-starts from the box pinned to v and tries to free each feature; a CXp scan
-starts from the whole box and tries to pin each feature. Each scanned
-feature costs at most two oracle calls, so a run costs at most 2N+2 calls
-including those that establish the starting invariant.
+`verify_axp`/`verify_cxp` compare the two corners' labels; the scan asks
+the lower corner first and stops at the first corner that differs from
+v's label. An AXp scan starts from the box pinned to v and tries to free
+each feature; a CXp scan starts from the whole box and tries to pin each
+feature. Each scanned feature costs at most two oracle calls, so a run
+costs at most 2N+2 calls including those that establish the starting
+invariant.
 
 The scan skips a corner whose label is already known. When v's label is
 the bottom class, every lower corner carries it, and when it is the top
@@ -33,7 +33,7 @@ changes its answer can cause.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle
 from .domain import Explanation, ExplanationKind, FeatureSpace, Point, _corner, _explanation
@@ -97,15 +97,6 @@ def verify_cxp(features: Iterable[int], v: Point, oracle) -> bool:
     """
     freed = oracle.space.validate_features(features)
     return not verify_axp(frozenset(oracle.space.features) - freed, v, oracle)
-
-
-def _agrees(ask: Callable[[Point], str], space: FeatureSpace, low: list, up: list, pred: str) -> bool:
-    """Do both corners of a box that holds v carry v's label `pred`, that is,
-    for a monotonic oracle, does the box force the prediction? `low` and
-    `up` are the corners' values, from `_bounds`; each becomes a corner of
-    `space` only when it is asked. The lower corner is asked first and
-    decides alone if it differs."""
-    return ask(_corner(tuple(low), space)) == pred and ask(_corner(tuple(up), space)) == pred
 
 
 def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, order) -> Explanation:

@@ -185,8 +185,8 @@ class TestEnumerate:
         spec = write_spec(tmp_path, GRADE_SPEC)
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
         assert code == 0
-        # the prediction plus the run's 12 calls; the memo answered 8 more
-        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 8)
+        # the prediction plus the run's 12 calls; the memo answered 11 more
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 11)
         report = monoxp.enumerate_explanations(Point((10, 10, 5, 0)), GradeClassifier())
         assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (1 + report.oracle_calls, report.cache_hits)
 
@@ -327,7 +327,7 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
         assert code == 0
         *rows, aggregate = out
-        assert rows[0]["cache_hits"] == 8
+        assert rows[0]["cache_hits"] == 11
         assert aggregate["cache_hits_avg"] == sum(r["cache_hits"] for r in rows) / 3
 
     def test_aggregate_sums_the_solver_time(self, tmp_path, capsys):
@@ -606,9 +606,8 @@ class TestExternalOracle:
     @pytest.mark.parametrize("command", ["enumerate", "bench"])
     def test_a_changed_answer_ends_a_run(self, tmp_path, capsys, command):
         # a monotone linear child over three integer features that flips its
-        # answer to every repeated request; the run hears one on the
-        # explainer's first start check and must end with one error and no
-        # record
+        # answer to every repeated request; the run hears one on the loop's
+        # first corner check and must end with one error and no record
         child = (
             "import sys\nasked = {}\nfor line in sys.stdin:\n"
             "    asked[line] = asked.get(line, 0) + 1\n"
@@ -631,6 +630,44 @@ class TestExternalOracle:
         code, out, err = run(capsys, command, "--spec", spec, *where)
         assert (code, out) == (3, [])
         assert [e["error"] for e in err] == ["oracle-failure"]
+
+    @pytest.mark.parametrize("command", ["enumerate", "bench"])
+    def test_a_changed_answer_for_v_ends_a_run(self, tmp_path, capsys, command):
+        # a monotone linear child over three integer features that flips
+        # every answer for 4,4,4 but the first: the command's prediction
+        # request hears "hi", and the run hears "lo" for v every time it
+        # asks. Only comparing the two answers can hear the change; it must
+        # end the command with one error and no summary or instance record
+        child = tmp_path / "flip_v.py"
+        child.write_text(
+            "import sys\n"
+            "seen = 0\n"
+            "for line in sys.stdin:\n"
+            "    a, b, c = map(int, line.split(','))\n"
+            "    label = 3 * a + b + 2 * c >= 15\n"
+            "    if line == '4,4,4\\n':\n"
+            "        seen += 1\n"
+            "        label ^= seen > 1\n"
+            "    print(['lo', 'hi'][label], flush=True)\n"
+        )
+        spec = write_spec(
+            tmp_path,
+            {
+                "schema": 1,
+                "kind": "external",
+                "command": [sys.executable, str(child)],
+                "features": [{"kind": "integer", "lower": 0, "upper": 5}] * 3,
+                "classes": ["lo", "hi"],
+            },
+        )
+        rows = tmp_path / "rows.csv"
+        rows.write_text("4,4,4\n")
+        where = ["--instance", "4,4,4", "--limit", "1"] if command == "enumerate" else ["--instances", str(rows)]
+        code, out, err = run(capsys, command, "--spec", spec, *where)
+        assert code == 3
+        assert [r["type"] for r in out if r["type"] != "explanation"] == []
+        assert [e["error"] for e in err] == ["oracle-failure"]
+        assert "answered [4, 4, 4] with 'hi', then with 'lo'" in err[0]["message"]
 
     def test_dying_process_exits_3(self, tmp_path, capsys):
         spec = write_spec(

@@ -218,15 +218,17 @@ class TestCounters:
         axps, cxps = brute_force_explanations(v, grade)
         assert report.axp_sets() == set(axps)
         assert report.cxp_sets() == set(cxps)
-        # without the memo the run made 20 calls; the memo answers 8 of them
-        assert (report.oracle_calls, report.cache_hits) == (12, 8)
+        # the loop asks each of the 3 corners new to the run twice in a row,
+        # and the explainer's start checks find them in the memo: 12 calls
+        # reach the oracle and the memo answers 11 queries
+        assert (report.oracle_calls, report.cache_hits) == (12, 11)
 
     @pytest.mark.parametrize("label", [None, "", 0])
     def test_a_falsy_label_is_kept_and_counted(self, grade, label):
         # v is the space's lower corner: the run asks its label through the
-        # memo, the loop asks it again past the memo, and the explainer's
-        # start check gets the memo's copy; a falsy label taken for a miss
-        # would cost a fifth call and no hit
+        # memo and the loop asks it again; the loop asks the new upper corner
+        # twice, and the explainer's start check gets the memo's copies of
+        # both; a falsy label taken for a miss would cost more calls and no hit
         class Constant:
             space, classes = grade.space, grade.classes
 
@@ -235,7 +237,7 @@ class TestCounters:
 
         report = enumerate_explanations(Point((0, 0, 0, 0)), Constant())
         assert (report.axp_sets(), report.cxp_sets(), report.complete) == ({frozenset()}, set(), True)
-        assert (report.oracle_calls, report.cache_hits) == (4, 1)
+        assert (report.oracle_calls, report.cache_hits) == (4, 2)
 
     def test_reported_oracle_calls_match_wrapper(self, grade):
         counting = CountingOracle(grade)
@@ -270,8 +272,8 @@ def _memo_reach_runs():
 
 
 def test_each_point_reaches_the_oracle_once_but_the_loop_corners():
-    # the loop asks its two corners past the memo and the explainer's
-    # invariant check may ask them again; no other point may repeat
+    # the loop asks each of its corners again, one new to the run twice in
+    # a row; no other point may repeat
     runs = list(_memo_reach_runs())
     assert len(runs) == 221
     for name, clf, v in runs:
@@ -306,48 +308,61 @@ def test_appendix_cnf_k10_enumeration(corner):
 # features), ...]). The families, streams and sat_calls were recorded before
 # the loop kept one oracle wrapper; the two counters since each box is
 # decided one corner at a time, and cache_hits since the scan skips the
-# corners an end of the class order decides, which at these corners are v.
+# corners an end of the class order decides, which at these corners are v,
+# and since the loop asks a corner new to the run twice, leaving the
+# explainer's start check to the memo.
 _PINNED_CNF_RUNS = [
-    (0, 5, 0, 38, 230, 129, 31, 6, "6f90609862b7aad3"),
-    (0, 5, 1, 38, 293, 75, 6, 31, "c6a2569575b152b2"),
-    (1, 6, 0, 71, 448, 280, 64, 6, "796dd48403d4c408"),
-    (1, 6, 1, 71, 664, 141, 6, 64, "14c15449898355e0"),
-    (2, 7, 0, 136, 917, 604, 128, 7, "c3aa2253070726b2"),
-    (2, 7, 1, 136, 1500, 271, 7, 128, "8f49175f24cc29d1"),
-    (3, 5, 0, 38, 227, 128, 31, 6, "19d4ce29e0c8dc9a"),
-    (3, 5, 1, 38, 268, 85, 6, 31, "5be6ffb48f466a2d"),
-    (4, 6, 0, 68, 446, 254, 59, 8, "009f53f0f185046a"),
-    (4, 6, 1, 68, 622, 134, 8, 59, "12cdb1799e9b1667"),
-    (5, 7, 0, 134, 937, 566, 122, 11, "67ccfe3525f7f136"),
-    (5, 7, 1, 134, 1431, 281, 11, 122, "59b1b3b60fa024e6"),
-    (6, 5, 0, 38, 222, 132, 32, 5, "31847a3d1a37e730"),
-    (6, 5, 1, 38, 292, 75, 5, 32, "9d57b6a5bedb28f7"),
-    (7, 6, 0, 70, 455, 265, 61, 8, "ab21cf7547388891"),
-    (7, 6, 1, 70, 623, 141, 8, 61, "854d146dcab7dba1"),
-    (8, 7, 0, 136, 917, 604, 128, 7, "c3aa2253070726b2"),
-    (8, 7, 1, 136, 1500, 271, 7, 128, "8f49175f24cc29d1"),
-    (9, 5, 0, 38, 232, 124, 30, 7, "73f8e00fbb233bf8"),
-    (9, 5, 1, 38, 287, 76, 7, 30, "8c0306a1b12e4ea1"),
-    (10, 6, 0, 71, 448, 280, 64, 6, "796dd48403d4c408"),
-    (10, 6, 1, 71, 664, 141, 6, 64, "14c15449898355e0"),
-    (11, 7, 0, 134, 923, 578, 124, 9, "0567b2e2651e7249"),
-    (11, 7, 1, 134, 1466, 267, 9, 124, "553ab5177b3d381a"),
-    (12, 5, 0, 38, 222, 132, 32, 5, "31847a3d1a37e730"),
-    (12, 5, 1, 38, 292, 75, 5, 32, "9d57b6a5bedb28f7"),
-    (13, 6, 0, 71, 460, 270, 62, 8, "cef8e8a8e2dfe950"),
-    (13, 6, 1, 71, 611, 160, 8, 62, "2441a74caead6166"),
-    (14, 7, 0, 134, 937, 566, 122, 11, "e9327923d5d3c4ed"),
-    (14, 7, 1, 134, 1457, 267, 11, 122, "9d973009e483dc27"),
-    (15, 5, 0, 38, 235, 125, 30, 7, "12d53cc33e9e0e24"),
-    (15, 5, 1, 38, 290, 76, 7, 30, "c4cedc1b43265664"),
-    (16, 6, 0, 71, 460, 270, 62, 8, "4c363953b36ef1fb"),
-    (16, 6, 1, 71, 648, 145, 8, 62, "6912e512e57385f2"),
-    (17, 7, 0, 136, 924, 598, 127, 8, "e55b5b415ec7208a"),
-    (17, 7, 1, 136, 1493, 274, 8, 127, "ed85cefceda9ca6a"),
-    (18, 5, 0, 37, 226, 123, 30, 6, "a993da9485a63722"),
-    (18, 5, 1, 37, 291, 67, 6, 30, "196c90a1b76f6cbc"),
-    (19, 6, 0, 71, 460, 270, 62, 8, "70bc29ffa0d06f38"),
-    (19, 6, 1, 71, 659, 142, 8, 62, "73055f6527c02f66"),
+    (0, 5, 0, 38, 230, 162, 31, 6, "6f90609862b7aad3"),
+    (0, 5, 1, 38, 293, 111, 6, 31, "c6a2569575b152b2"),
+    (1, 6, 0, 71, 448, 344, 64, 6, "796dd48403d4c408"),
+    (1, 6, 1, 71, 664, 210, 6, 64, "14c15449898355e0"),
+    (2, 7, 0, 136, 917, 732, 128, 7, "c3aa2253070726b2"),
+    (2, 7, 1, 136, 1500, 405, 7, 128, "8f49175f24cc29d1"),
+    (3, 5, 0, 38, 227, 160, 31, 6, "19d4ce29e0c8dc9a"),
+    (3, 5, 1, 38, 268, 121, 6, 31, "5be6ffb48f466a2d"),
+    (4, 6, 0, 68, 446, 315, 59, 8, "009f53f0f185046a"),
+    (4, 6, 1, 68, 622, 199, 8, 59, "12cdb1799e9b1667"),
+    (5, 7, 0, 134, 937, 692, 122, 11, "67ccfe3525f7f136"),
+    (5, 7, 1, 134, 1431, 409, 11, 122, "59b1b3b60fa024e6"),
+    (6, 5, 0, 38, 222, 164, 32, 5, "31847a3d1a37e730"),
+    (6, 5, 1, 38, 292, 111, 5, 32, "9d57b6a5bedb28f7"),
+    (7, 6, 0, 70, 455, 328, 61, 8, "ab21cf7547388891"),
+    (7, 6, 1, 70, 623, 207, 8, 61, "854d146dcab7dba1"),
+    (8, 7, 0, 136, 917, 732, 128, 7, "c3aa2253070726b2"),
+    (8, 7, 1, 136, 1500, 405, 7, 128, "8f49175f24cc29d1"),
+    (9, 5, 0, 38, 232, 156, 30, 7, "73f8e00fbb233bf8"),
+    (9, 5, 1, 38, 287, 110, 7, 30, "8c0306a1b12e4ea1"),
+    (10, 6, 0, 71, 448, 344, 64, 6, "796dd48403d4c408"),
+    (10, 6, 1, 71, 664, 210, 6, 64, "14c15449898355e0"),
+    (11, 7, 0, 134, 923, 704, 124, 9, "0567b2e2651e7249"),
+    (11, 7, 1, 134, 1466, 397, 9, 124, "553ab5177b3d381a"),
+    (12, 5, 0, 38, 222, 164, 32, 5, "31847a3d1a37e730"),
+    (12, 5, 1, 38, 292, 111, 5, 32, "9d57b6a5bedb28f7"),
+    (13, 6, 0, 71, 460, 334, 62, 8, "cef8e8a8e2dfe950"),
+    (13, 6, 1, 71, 611, 227, 8, 62, "2441a74caead6166"),
+    (14, 7, 0, 134, 937, 692, 122, 11, "e9327923d5d3c4ed"),
+    (14, 7, 1, 134, 1457, 397, 11, 122, "9d973009e483dc27"),
+    (15, 5, 0, 38, 235, 158, 30, 7, "12d53cc33e9e0e24"),
+    (15, 5, 1, 38, 290, 111, 7, 30, "c4cedc1b43265664"),
+    (16, 6, 0, 71, 460, 334, 62, 8, "4c363953b36ef1fb"),
+    (16, 6, 1, 71, 648, 212, 8, 62, "6912e512e57385f2"),
+    (17, 7, 0, 136, 924, 726, 127, 8, "e55b5b415ec7208a"),
+    (17, 7, 1, 136, 1493, 407, 8, 127, "ed85cefceda9ca6a"),
+    (18, 5, 0, 37, 226, 155, 30, 6, "a993da9485a63722"),
+    (18, 5, 1, 37, 291, 102, 6, 30, "196c90a1b76f6cbc"),
+    (19, 6, 0, 71, 460, 334, 62, 8, "70bc29ffa0d06f38"),
+    (19, 6, 1, 71, 659, 209, 8, 62, "73055f6527c02f66"),
+]
+
+
+# Runs whose first model's two corners are new to the run (grade, constant)
+# or one of them is v (cnf-ones, cnf-zeros).
+_LOOP_RUNS = [
+    (GradeClassifier(), Point((10, 10, 5, 0))),
+    (_draw_appendix_cnf(random.Random(3), 5), Point((1,) * 10)),
+    (_draw_appendix_cnf(random.Random(3), 5), Point((0,) * 10)),
+    # constant: both corners of the first model are new and agree
+    (LinearThresholdClassifier(FeatureSpace((FeatureDomain("integer", 0, 2),) * 2), [1, 1], [], ClassOrder(("c",))), Point((1, 1))),
 ]
 
 
@@ -374,8 +389,9 @@ class FlipRepeats(ClassifierOracle):
 
 class TestOneWrapperPerRun:
     """The run asks the oracle through one counting, memoising wrapper; the
-    loop's corners go past the memo. The counts and families are
-    pinned, and an oracle that changes its answer must still be caught."""
+    loop asks its corners again and compares the answers. The counts and
+    families are pinned, and an oracle that changes its answer must still
+    be caught."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_counters_and_families_as_pinned(self, seed):
@@ -393,10 +409,10 @@ class TestOneWrapperPerRun:
 
     @pytest.mark.parametrize("terms", [[], [[1]]], ids=["axp-branch", "cxp-branch"])
     def test_a_changed_answer_is_caught(self, terms):
-        # the first model frees both features: the loop asks (0, 0) and
-        # (1, 1), then the explainer's start check asks them again. A
-        # constant model sends the loop to the AXp branch, x1 to the CXp one;
-        # the flipped second answer for (0, 0) breaks the explainer's seed
+        # the first model frees both features: the loop asks (0, 0), new to
+        # the run, twice in a row and hears the flipped second answer before
+        # it picks a branch, the AXp one for a constant model or the CXp one
+        # for x1
         class FlipOnSecondAsk(ClassifierOracle):
             def __init__(self, inner):
                 self.inner, self.space, self.classes = inner, inner.space, inner.classes
@@ -426,24 +442,26 @@ class TestOneWrapperPerRun:
     )
     def test_the_loop_calls_the_explainer_by_name(self, clf, v, monkeypatch):
         # bench/spans.py traces the explainer by rebinding these names; each
-        # call must also find the memo as the previous call left it, with
-        # the loop's corners counted and kept out of it: both for an AXp,
-        # for a CXp the lower one, and the upper one only if the lower
-        # carries v's label. Before the first call the run has asked v's
-        # label through the memo.
+        # call must also find the memo as the previous call left it plus the
+        # loop's corners: both for an AXp, for a CXp the lower one, and the
+        # upper one only if the lower carries v's label. Each corner counts
+        # one call, and one more if it is new to the run. Before the first
+        # call the run has asked v's label through the memo.
         calls = {"axp": 0, "cxp": 0}
-        left = {"memo": 1, "counted": 1}
+        left = {"memo": {v.values}, "counted": 1}
         pred = clf.classify(v)
 
         def counted(kind, find):
             def explain(v, oracle, seed, order):
                 calls[kind] += 1
                 fixed = seed if kind == "cxp" else oracle.space._feature_set - seed
-                low, _ = corner_points(oracle.space, v, fixed)
-                loop = 2 if kind == "axp" or clf.classify(low) == pred else 1
-                assert (len(oracle._cache), oracle.call_count) == (left["memo"], left["counted"] + loop)
+                low, up = corner_points(oracle.space, v, fixed)
+                loop = [low.values, up.values] if kind == "axp" or clf.classify(low) == pred else [low.values]
+                new = set(loop) - left["memo"]
+                assert oracle._cache.keys() == left["memo"] | new
+                assert oracle.call_count == left["counted"] + len(loop) + len(new)
                 expl = find(v, oracle, seed=seed, order=order)
-                left["memo"], left["counted"] = len(oracle._cache), oracle.call_count
+                left["memo"], left["counted"] = set(oracle._cache), oracle.call_count
                 return expl
 
             return explain
@@ -456,9 +474,9 @@ class TestOneWrapperPerRun:
         assert report.oracle_calls == left["counted"]
 
     def test_every_flipped_repeat_is_caught_and_named(self):
-        # v = (1, 1) is 1 and the loop's first lower corner (0, 0) is 0, so
-        # the run takes the CXp branch; the explainer's start check asks
-        # (0, 0) again and hears 1
+        # v = (1, 1) is 1 and the loop's first lower corner (0, 0) is 0; the
+        # corner is new to the run, so the loop's check asks it again at once
+        # and hears 1
         oracle = FlipRepeats(MonotoneDnfClassifier(boolean_space(2), [[1]]))
         with pytest.raises(InternalConsistencyError, match=r"answered \[0, 0\] with '0', then with '1'"):
             enumerate_explanations(Point((1, 1)), oracle)
@@ -484,33 +502,46 @@ class TestOneWrapperPerRun:
             outcomes["right"] += 1
         assert outcomes == {"raised": 250, "right": 50}
 
-    @pytest.mark.parametrize(
-        "clf, v, most",
-        [
-            (GradeClassifier(), Point((10, 10, 5, 0)), 1),
-            (_draw_appendix_cnf(random.Random(3), 5), Point((1,) * 10), 1),
-            (_draw_appendix_cnf(random.Random(3), 5), Point((0,) * 10), 1),
-            # constant: both corners of the first model are new and agree
-            (LinearThresholdClassifier(FeatureSpace((FeatureDomain("integer", 0, 2),) * 2), [1, 1], [], ClassOrder(("c",))),
-             Point((1, 1)), 2),
-        ],
-        ids=["grade", "cnf-ones", "cnf-zeros", "constant"],
-    )
-    def test_at_most_the_models_two_corners_wait_for_the_start_check(self, clf, v, most, monkeypatch):
-        # a corner new to the run waits outside the memo until the explainer's
-        # start check asks it again, so none is left after the explainer
-        waiting = []
+    @pytest.mark.parametrize("clf, v", _LOOP_RUNS, ids=["grade", "cnf-ones", "cnf-zeros", "constant"])
+    def test_the_loops_corners_are_in_the_memo_when_the_explainer_starts(self, clf, v, monkeypatch):
+        # the explainer's start check asks the loop's corners again, and
+        # must find each one in the memo
+        asked = []
+        real_corner = monoxp.enumeration._Memo.corner
+
+        def corner(memo, point):
+            asked.append(point.values)
+            return real_corner(memo, point)
 
         def checked(find):
             def explain(v, oracle, seed, order):
-                waiting.append(len(oracle._corners))
-                expl = find(v, oracle, seed=seed, order=order)
-                assert not oracle._corners
-                return expl
+                assert asked and set(asked) <= oracle._cache.keys()
+                return find(v, oracle, seed=seed, order=order)
 
             return explain
 
+        monkeypatch.setattr(monoxp.enumeration._Memo, "corner", corner)
         monkeypatch.setattr(monoxp.enumeration, "find_axp", checked(monoxp.enumeration.find_axp))
         monkeypatch.setattr(monoxp.enumeration, "find_cxp", checked(monoxp.enumeration.find_cxp))
         assert enumerate_explanations(v, clf).complete
-        assert max(waiting) == most
+
+    @pytest.mark.parametrize("clf, v", _LOOP_RUNS, ids=["grade", "cnf-ones", "cnf-zeros", "constant"])
+    def test_a_corner_new_to_the_run_reaches_the_oracle_twice_in_a_row(self, clf, v, monkeypatch):
+        # the loop's check asks a corner the run knows once, and one new to
+        # the run twice, one request right after the other
+        recording = Recording(clf)
+        new_corners = []
+        real_corner = monoxp.enumeration._Memo.corner
+
+        def corner(memo, point):
+            new = point.values not in memo._cache
+            before = len(recording.asked)
+            label = real_corner(memo, point)
+            assert recording.asked[before:] == [point.values] * (2 if new else 1)
+            if new:
+                new_corners.append(point.values)
+            return label
+
+        monkeypatch.setattr(monoxp.enumeration._Memo, "corner", corner)
+        assert enumerate_explanations(v, recording).complete
+        assert new_corners
