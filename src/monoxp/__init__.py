@@ -5,9 +5,10 @@ feature space with totally ordered classes. Given an instance it computes
 one subset-minimal abductive explanation (a feature set whose instance
 values force the prediction) or contrastive explanation (a feature set
 whose freeing admits a different prediction) in at most 2N+2 oracle calls,
-or N+2 (abductive) and N+3 (contrastive) when the prediction is the lowest
-or highest class, and enumerates the complete families of both with one
-satisfiability call per explanation plus one to terminate.
+or N+2 when the prediction is the lowest or highest class or, for an
+abductive explanation, when every feature is boolean, and enumerates the
+complete families of both with one satisfiability call per explanation plus
+one to terminate.
 """
 
 from .classifiers import (

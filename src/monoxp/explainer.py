@@ -13,14 +13,22 @@ feature. Each scanned feature costs at most two oracle calls, so a run
 costs at most 2N+2 calls including those that establish the starting
 invariant.
 
-The scan skips a corner whose label is already known. When v's label is
-the bottom class, every lower corner carries it, and when it is the top
-class, every upper corner does; a CXp scan's boxes only shrink toward v,
-so once a box it keeps has a lower corner with v's label, so does every
-later one. A scan step then costs one call, and a scan whose v's label is
-an end of the class order costs at most N+2 calls (AXp) or N+3 (CXp,
-which asks v first). The start checks still ask their corners, apart from
-an AXp start box of v alone, which asks v once.
+The scan asks a corner only while its label is unknown. It keeps one
+state per corner of its box: the corner carries v's label, does not, or is
+unknown. An AXp scan takes v's label from its start box's lower corner,
+which is v itself when the seed is empty; a CXp scan asks v. A start
+corner equal to the point just asked starts known. A step keeps a corner's
+state where it leaves the corner's coordinate as it was (compared with
+`==`, as the run's memo keys are, so 0, 0.0 and False are one value), and a
+CXp step, which moves both corners toward v, keeps a corner that carries
+v's label; a reverted step restores the states. An end of the class order
+decides a corner unasked: when v's label is the bottom class every lower
+corner carries it, and when it is the top class every upper corner does.
+So a scan whose v's label is an end of the class order asks at most one
+corner per step, N+2 calls in all. On a boolean feature v's value is one
+of the domain's bounds, so a step moves one corner only, and an AXp scan,
+whose kept boxes have both corners known, costs at most N+2 calls over
+boolean features for any number of classes.
 
 The scan keeps a box as the value lists of its two corners and builds a
 corner's tuple and `Point` only just before it asks it. A corner carries
@@ -106,47 +114,32 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
     agree, and frees features toward the whole box; a CXp scan starts with
     only the seed pinned, where they must differ, and pins features to v.
     A feature whose move changes whether the corners agree is moved back
-    and picked.
-
-    An AXp scan takes v's label from its start corners. A CXp scan asks v;
-    once its start box's lower corner carries v's label, so does every later
-    one, as the boxes only shrink toward v, and it asks upper corners alone.
-    The steps skip the corners an end of the class order decides, and a CXp
-    step that keeps a box whose lower corner carries v's label skips every
-    later lower corner.
+    and picked. Which corners it asks is the module docstring's rule.
     """
     space = oracle.space
     v = space.validate_point(v)
     seed_set = space.validate_features(seed)
     order_seq = tuple(space.features) if order is None else space.validate_order(order)
-    everything = space._feature_set
     agree = kind is ExplanationKind.AXP
     ask = oracle.classify
-    low, up = _bounds(space, v, everything - seed_set if agree else seed_set)
-    if agree:
-        if seed_set:
-            pred = ask(_corner(tuple(low), space))
-            holds = ask(_corner(tuple(up), space)) == pred
-        else:
-            # a start box of v alone has v for both its corners
-            pred, holds = ask(v), True
-        low_known = False
-    else:
-        pred = ask(v)
-        # a start box of v alone has v for its lower corner
-        low_known = seed_set == everything or ask(_corner(tuple(low), space)) == pred
-        holds = low_known and ask(_corner(tuple(up), space)) == pred
-    if holds != agree:
+    low, up = _bounds(space, v, space._feature_set - seed_set if agree else seed_set)
+    first = tuple(low) if agree else v.values
+    pred = ask(_corner(first, space) if agree else v)
+    low_end, up_end = pred == oracle.classes.labels[0], pred == oracle.classes.labels[-1]
+    # per corner: True if it carries pred, False if not, None if unknown. A
+    # corner equal to the point just asked, or that an end of the class order
+    # decides, is known unasked; the upper corner is asked only if the lower
+    # one carries pred
+    low_has = tuple(low) == first or low_end or ask(_corner(tuple(low), space)) == pred
+    up_has = True if tuple(up) == first else None
+    if low_has and up_has is None:
+        up_has = up_end or ask(_corner(tuple(up), space)) == pred
+    if (low_has and up_has) != agree:
         if agree:
             raise SeedBreaksInvariant(f"freeing seed {sorted(seed_set)} already changes the prediction")
         if not seed_set:
             raise NoCxpExists("the classifier is constant over the feature space box")
         raise SeedBreaksInvariant(f"fixing seed {sorted(seed_set)} already forces the prediction")
-    # κ(low) <= κ(v) <= κ(up) in every box that holds v, so the bottom class
-    # decides every lower corner and the top class every upper one
-    labels = oracle.classes.labels
-    low_known = low_known or pred == labels[0]
-    up_known = pred == labels[-1]
     target_low, target_up = (space._lowers, space._uppers) if agree else (v.values, v.values)
     # a set, not a list: frozenset copies a set's table at its size, which for
     # 5-7 features is 472 bytes against 728 from a list, and callers keep families
@@ -155,16 +148,19 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         if i in seed_set:
             continue
         j = i - 1
-        was = low[j], up[j]
+        was = low[j], up[j], low_has, up_has
         low[j], up[j] = target_low[j], target_up[j]
-        low_holds = low_known or ask(_corner(tuple(low), space)) == pred
-        if (low_holds and (up_known or ask(_corner(tuple(up), space)) == pred)) != agree:
-            low[j], up[j] = was
+        # a corner the step moves keeps its state only if it carries pred
+        # and the step is a CXp step, which moves it toward v
+        if low[j] != was[0] and (agree or not low_has):
+            low_has = low_end or ask(_corner(tuple(low), space)) == pred
+        if up[j] != was[1] and (agree or not up_has):
+            up_has = None
+        if low_has and up_has is None:
+            up_has = up_end or ask(_corner(tuple(up), space)) == pred
+        if (low_has and up_has) != agree:
+            low[j], up[j], low_has, up_has = was
             picked.add(i)
-        elif not agree:
-            # a kept CXp box only shrinks toward v, so once its lower corner
-            # carries pred every later one does
-            low_known = low_holds
     return _explanation(kind, frozenset(picked))
 
 

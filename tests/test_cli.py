@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -185,8 +186,8 @@ class TestEnumerate:
         spec = write_spec(tmp_path, GRADE_SPEC)
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
         assert code == 0
-        # the prediction plus the run's 12 calls; the memo answered 11 more
-        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 11)
+        # the prediction plus the run's 12 calls; the memo answered 8 more
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 8)
         report = monoxp.enumerate_explanations(Point((10, 10, 5, 0)), GradeClassifier())
         assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (1 + report.oracle_calls, report.cache_hits)
 
@@ -327,7 +328,7 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
         assert code == 0
         *rows, aggregate = out
-        assert rows[0]["cache_hits"] == 11
+        assert rows[0]["cache_hits"] == 8
         assert aggregate["cache_hits_avg"] == sum(r["cache_hits"] for r in rows) / 3
 
     def test_aggregate_sums_the_solver_time(self, tmp_path, capsys):
@@ -693,6 +694,23 @@ def logging_grade_spec(log) -> dict:
         "features": [{"kind": "real", "lower": 0, "upper": 10}] * 4,
         "classes": list("FEDCBA"),
     }
+
+
+@pytest.mark.parametrize("instance", ["10,10,5,0", "5,5,5,5", "0,0,0,8"])
+@pytest.mark.parametrize("kind", ["axp", "cxp"])
+def test_explain_sends_no_point_twice_but_v(tmp_path, capsys, kind, instance):
+    # v goes out for the prediction and for the scan's own label, and once
+    # more if a CXp scan's corner reaches v. The scan asks a corner only
+    # while its label is unknown, so on the grade model every other point
+    # goes out once
+    log = tmp_path / "requests.log"
+    spec = write_spec(tmp_path, logging_grade_spec(log))
+    code, out, _ = run(capsys, "explain", "--spec", spec, "--instance", instance, "--kind", kind)
+    assert code == 0
+    sent = Counter(logged_requests(log))
+    assert sum(sent.values()) == out[0]["oracle_calls"]
+    assert sent.pop(instance + "\n") >= 2
+    assert set(sent.values()) == {1}
 
 
 @pytest.mark.parametrize("pipe", [False, True], ids=["in-process", "pipe"])

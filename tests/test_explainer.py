@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,25 +51,22 @@ class RecordingOracle(ClassifierOracle):
 
 
 # Every point the scan asks on the grade example with order 1,2,3,4. An AXp
-# scan with a seed asks its two starting corners and takes v's label from
-# them; with none, its start box is v alone, asked once. A CXp scan asks v,
-# then its starting lower corner and, only if that carries v's label, the
-# upper one. Each non-seed feature's box then costs its lower corner and,
-# only if that carries v's label, its upper one. v's label A is the top
-# class, so every upper corner carries it and a scan step asks its lower
-# corner alone. An AXp scan widens feature i to [0, 10] and pins it back
-# when picked; a CXp scan pins feature i to v and widens it back when
-# picked.
+# scan takes v's label from its starting lower corner, which is v itself
+# when the seed is empty; a CXp scan asks v. A corner is asked only while
+# its label is unknown: v's label A is the top class, so no upper corner is
+# asked, and a step that leaves a corner's coordinate as it was, as feature
+# 4 at its lower bound 0 does, keeps that corner's label. An AXp scan widens
+# feature i to [0, 10] and pins it back when picked; a CXp scan pins feature
+# i to v and widens it back when picked.
 GRADE_QUERIES = [
     (find_axp, set(), {1, 2}, [
         (10, 10, 5, 0),
         (0, 10, 5, 0),
         (10, 0, 5, 0),
         (10, 10, 0, 0),
-        (10, 10, 0, 0),
     ]),
     (find_axp, {3, 4}, {1, 2}, [
-        (10, 10, 0, 0), (10, 10, 10, 10),
+        (10, 10, 0, 0),
         (0, 10, 0, 0),
         (10, 0, 0, 0),
     ]),
@@ -78,13 +76,11 @@ GRADE_QUERIES = [
         (10, 0, 0, 0),
         (10, 10, 0, 0),
         (10, 0, 5, 0),
-        (10, 0, 5, 0),
     ]),
     (find_cxp, {2}, {1}, [
         (10, 10, 5, 0),
         (0, 10, 0, 0),
         (10, 10, 0, 0),
-        (0, 10, 5, 0),
         (0, 10, 5, 0),
     ]),
 ]
@@ -218,12 +214,13 @@ class TestFindAxp:
 
     def test_call_count_as_pinned_and_within_the_bound(self, grade):
         # v's label is the top class: v once, then one call per feature
+        # whose lower bound is not v's value
         counting = CountingOracle(grade)
         find_axp(Point((10, 10, 5, 0)), counting)
-        assert counting.call_count == 5 <= 4 + 2
+        assert counting.call_count == 4 <= 4 + 2
         counting = CountingOracle(grade)
         find_axp(Point((10, 10, 5, 0)), counting, seed={3, 4})
-        assert counting.call_count == 4 <= 2 * (4 - 2) + 2
+        assert counting.call_count == 3 <= 2 * (4 - 2) + 2
 
 
 class TestFindCxp:
@@ -406,3 +403,60 @@ def test_a_scan_at_an_end_of_the_class_order_asks_one_corner_per_feature(seed):
                 if at_end:
                     assert counting.call_count <= n + extra
     assert 0 < ends < 150
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(10, 10, 5, 0.0), (10.0, 0.0, 5, 0.0), (0.0, 10, 10.0, 0.0), (2.5, 0.0, 10.0, 0.0)],
+    ids=["A", "E", "B", "F"],
+)
+def test_a_coordinate_equal_to_its_bound_is_not_asked_again(grade, values):
+    # the grade features are reals with the integer bounds 0 and 10: v's 0.0
+    # equals the bound 0 under ==, as in the run's memo keys, so a step that
+    # moves the feature to that bound leaves the corner as it was and keeps
+    # its label; no point but v is asked twice, and v is asked again only by
+    # a CXp scan whose corner reaches it
+    v = Point(values)
+    axps, cxps = brute_force_explanations(v, grade)
+    for find, family in ((find_axp, axps), (find_cxp, cxps)):
+        for order in ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)):
+            oracle = RecordingOracle(grade)
+            assert find(v, oracle, order=order).features in family
+            assert all(n == 1 for p, n in Counter(oracle.points).items() if p != values)
+    oracle = RecordingOracle(grade)
+    find_axp(Point((10, 10, 5, 0.0)), oracle, order=(1, 2, 3, 4))
+    assert oracle.points == [(10, 10, 5, 0.0), (0, 10, 5, 0.0), (10, 0, 5, 0.0), (10, 10, 0, 0.0)]
+
+
+def test_an_axp_over_boolean_features_asks_at_most_one_corner_per_feature():
+    # on a boolean feature v's value is one of the domain's two bounds, so a
+    # step moves one corner only, and an AXp scan's kept boxes have both
+    # corners known: at most N+2 calls for any number of classes, N counting
+    # the features outside the seed; any scan at most 2N+2, and N+2 when v's
+    # label is an end of the class order. A CXp scan may ask both corners in
+    # one step, after a step that left its upper corner unasked
+    rng = random.Random(0)
+    worst_cxp = 0
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        weights = [rng.randint(1, 3) for _ in range(n)]
+        thresholds = sorted(rng.sample(range(1, sum(weights) + 2), 3))
+        clf = LinearThresholdClassifier(boolean_space(n), weights, thresholds, ClassOrder(("c0", "c1", "c2", "c3")))
+        v = Point(tuple(rng.randint(0, 1) for _ in range(n)))
+        features = list(clf.space.features)
+        order = rng.sample(features, n)
+        at_end = clf.classify(v) in ("c0", "c3")
+        for find in (find_axp, find_cxp):
+            for seed in (set(), set(rng.sample(features, rng.randint(0, n))), set(features)):
+                counting = CountingOracle(clf)
+                try:
+                    find(v, counting, seed=seed, order=order)
+                except SeedBreaksInvariant:
+                    pass
+                free = n - len(seed)
+                assert counting.call_count <= 2 * free + 2
+                if find is find_axp or at_end:
+                    assert counting.call_count <= free + 2
+                else:
+                    worst_cxp = max(worst_cxp, counting.call_count - free)
+    assert worst_cxp == 5

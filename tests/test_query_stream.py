@@ -3,15 +3,19 @@
 Each digest is the first 16 hex digits of the sha256 of the repr of what a
 run asked and returned: every point that reached the oracle, in order, the
 explanations in the order they came out and, for an enumeration, its
-`sat_calls`, `complete` and the DIMACS text of its blocking formula. A
-change to how the explainer or the loop builds its corners, explanations or
-clauses must leave every digest as it is: the same points asked in the same
-order give the same results.
+`sat_calls`, `complete` and the DIMACS text of its blocking formula.
 
-The enumeration runs are pinned twice: once as asked, and once with each
-run's queries sorted. A change that only reorders a run's queries, such as
-asking a corner new to the run twice in a row where the loop asks it,
-moves the first digest and must leave the second as it is.
+Two kinds of digest are pinned here. `_CNF_DIGESTS` and
+`_CNF_SORTED_DIGESTS` pin what an enumeration run sends its oracle, once
+as asked and once with each run's queries sorted. The run's memo answers
+every point the run asked before, so both stay as they are when the
+explainer's scan stops asking a point the run already asked, and when the
+explainer or the loop changes how it builds its corners, explanations or
+clauses; a change that only reorders a run's queries moves the first and
+must leave the second. `test_explainer_query_stream_as_pinned` pins direct
+`find_axp`/`find_cxp` calls, whose every query reaches the oracle, and
+`test_grade_query_stream_as_pinned` two grade runs followed by direct
+scans; these move whenever a scan asks a different set of corners.
 """
 
 import hashlib
@@ -135,7 +139,7 @@ def _wide_linear(rng, features=100, rows=20):
 
 @pytest.mark.parametrize(
     "reverse, expected",
-    [(False, "7b0545a7bfa48473"), (True, "86d576f51cd454aa")],
+    [(False, "98a70678867e3d0f"), (True, "0d8dc22b13eb46f5")],
     ids=["default-order", "reversed-order"],
 )
 def test_explainer_query_stream_as_pinned(reverse, expected):
@@ -158,4 +162,4 @@ def test_grade_query_stream_as_pinned():
     recording = Recording(grade)
     found = [find(v, recording, order=order) for order in (None, [4, 3, 2, 1]) for find in (find_axp, find_cxp)]
     runs.append((recording.asked, [(e.kind.value, e.sorted_features()) for e in found]))
-    assert _digest(runs) == "c0ccb7918ad2c1cb"
+    assert _digest(runs) == "0df6e83e0ebc3f2e"
