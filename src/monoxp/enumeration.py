@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from .classifiers import ClassifierOracle, CountingOracle, _Consistent
@@ -142,7 +142,7 @@ def enumerate_explanations(
         if model is None:
             report.complete = True
             break
-        fixed = frozenset(i for i in space.features if model[i - 1] == 0)
+        fixed = all_features.difference(compress(space.features, model))
         low, up = _bounds(space, v, fixed)
         # the lower corner decides alone if it differs
         if memo.corner(_corner(tuple(low), space)) == pred and memo.corner(_corner(tuple(up), space)) == pred:

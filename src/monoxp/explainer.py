@@ -148,18 +148,20 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         if i in seed_set:
             continue
         j = i - 1
-        was = low[j], up[j], low_has, up_has
+        old_low, old_up = low[j], up[j]
+        had_low, had_up = low_has, up_has
         low[j], up[j] = target_low[j], target_up[j]
         # a corner the step moves keeps its state only if it carries pred
         # and the step is a CXp step, which moves it toward v
-        if low[j] != was[0] and (agree or not low_has):
+        if low[j] != old_low and (agree or not low_has):
             low_has = low_end or ask(_corner(tuple(low), space)) == pred
-        if up[j] != was[1] and (agree or not up_has):
+        if up[j] != old_up and (agree or not up_has):
             up_has = None
         if low_has and up_has is None:
             up_has = up_end or ask(_corner(tuple(up), space)) == pred
         if (low_has and up_has) != agree:
-            low[j], up[j], low_has, up_has = was
+            low[j], up[j] = old_low, old_up
+            low_has, up_has = had_low, had_up
             picked.add(i)
     return _explanation(kind, frozenset(picked))
 

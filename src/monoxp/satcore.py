@@ -9,12 +9,15 @@ clauses where it occurs positively and one of those where it occurs
 negatively (bit j is clause j). The masks are the formula's only copy of its
 clauses: `CnfFormula.clauses` and `to_dimacs` read the literals back from
 them. `solve` keeps a partial assignment as two more masks, the variables
-set to 1 and those set to 0 (bit i is variable i). Unit propagation then
-tests every clause at once: one pass over the variables ORs up the clauses
-satisfied so far, the clauses with at least one free literal and those with
-at least two. An open clause with no free literal is a conflict; the open
-clauses with exactly one free literal force all of their literals together,
-and a variable forced both ways is a conflict too.
+set to 1 and those set to 0 (bit i is variable i). Propagating it starts
+with one loop over the variables that ORs up the clauses the assignment
+satisfies and lists the free variables. Unit propagation then tests every
+clause at once: a pass over the free variables only ORs up the clauses with
+at least one free literal and those with at least two. An open clause with
+no free literal is a conflict; the open clauses with exactly one free
+literal force all of their literals together, each forced literal adding
+its column to the satisfied clauses, and a variable forced both ways is a
+conflict too.
 
 Models are reproducible bit for bit because of the search order. Unit
 propagation only sets values that every model extending the current
@@ -29,18 +32,19 @@ whatever order propagation happens to set values in.
 
 Each call continues the depth-first search where the last one with the same
 polarity stopped. The formula keeps, per polarity, the search frontier: a
-stack of the subtrees not yet searched, each a partial assignment before
-propagation, the next one on top. The subtrees the search gave up on lie
-before the frontier in the preference order, and when a call finds a model
-it pushes the subtree that held it back on top. A formula only ever gains
-clauses, so its set of models only shrinks: a subtree given up on still
-holds no model, and every model now lies in the returned model's subtree or
-in a pending one, in the same order. Each subtree is propagated against the
-whole formula when it is popped, so the clauses appended since it was
-pushed are tested too, and the model found is the same one a search from
-scratch would return. An empty frontier means the formula is unsatisfiable,
-and later calls return None at once. The search runs on an explicit stack,
-so its depth is not bounded by Python's recursion limit.
+stack of the subtrees not yet searched, each a partial assignment, the next
+one on top. The subtrees the search gave up on lie before the frontier in
+the preference order, and when a call finds a model it pushes the subtree
+that held it back on top, with the values propagation set, which every
+model in it must have. A formula only ever gains clauses, so its set of
+models only shrinks: a subtree given up on still holds no model, and every
+model now lies in the returned model's subtree or in a pending one, in the
+same order. Each subtree is propagated against the whole formula when it is
+popped, so the clauses appended since it was pushed are tested too, and the
+model found is the same one a search from scratch would return. An empty
+frontier means the formula is unsatisfiable, and later calls return None at
+once. The search runs on an explicit stack, so its depth is not bounded by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ import copy
 from typing import Iterable, Optional
 
 from .domain import _is_int
+
+# maps the digits of a model's binary string to the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class CnfFormula:
@@ -61,6 +68,8 @@ class CnfFormula:
     formula carries its frontiers and resumes independently."""
 
     def __init__(self, num_vars: int) -> None:
+        if not _is_int(num_vars):
+            raise ValueError(f"num_vars {num_vars!r} is not an integer")
         if num_vars < 1:
             raise ValueError("need at least one variable")
         self.num_vars = num_vars
@@ -122,42 +131,6 @@ class CnfFormula:
         self._count += 1
 
 
-def _propagate(formula: CnfFormula, ones: int, zeros: int) -> Optional[tuple[int, int, int]]:
-    """Unit propagation to fixpoint against every clause of `formula`:
-    (ones, zeros, mask of the clauses still open), or None on a conflict."""
-    pos, neg = formula._pos, formula._neg
-    variables = range(1, formula.num_vars + 1)
-    every = (1 << formula._count) - 1
-    while True:
-        # the clauses satisfied, and those with at least one and two free literals
-        sat = one = two = 0
-        free = []
-        for i in variables:
-            if ones >> i & 1:
-                sat |= pos[i]
-            elif zeros >> i & 1:
-                sat |= neg[i]
-            else:
-                lits = pos[i] | neg[i]
-                two |= one & lits
-                one |= lits
-                free.append(i)
-        open_clauses = every & ~sat
-        if open_clauses & ~one:
-            return None  # an open clause with every literal false
-        unit = open_clauses & ~two
-        if not unit:
-            return ones, zeros, open_clauses
-        for i in free:
-            forced_one, forced_zero = pos[i] & unit, neg[i] & unit
-            if forced_one:
-                if forced_zero:
-                    return None  # forced both ways
-                ones |= 1 << i
-            elif forced_zero:
-                zeros |= 1 << i
-
-
 def solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[tuple[int, ...]]:
     """Complete satisfiability check; a model (0/1 per variable) or None.
 
@@ -169,23 +142,65 @@ def solve(formula: CnfFormula, default_polarity: int = 1) -> Optional[tuple[int,
     if default_polarity not in (0, 1):
         raise ValueError("default_polarity must be 0 or 1")
     n = formula.num_vars
-    all_vars = (1 << (n + 1)) - 2
-    # depth-first: each entry is a subtree, (ones, zeros) before propagation
+    pos, neg = formula._pos, formula._neg
+    every = (1 << formula._count) - 1
+    variables = range(1, n + 1)
+    all_vars = (2 << n) - 2
+    # depth-first: each entry is a subtree, (ones, zeros)
     stack = formula._pending[default_polarity]
     while stack:
-        node = stack.pop()
-        propagated = _propagate(formula, *node)
-        if propagated is None:
+        ones, zeros = stack.pop()
+        # the clauses the assignment satisfies, and the free variables
+        sat = 0
+        free = []
+        for i in variables:
+            if ones >> i & 1:
+                sat |= pos[i]
+            elif zeros >> i & 1:
+                sat |= neg[i]
+            else:
+                free.append(i)
+        conflict = False
+        while True:
+            # the clauses with at least one and two free literals
+            one = two = 0
+            for i in free:
+                lits = pos[i] | neg[i]
+                two |= one & lits
+                one |= lits
+            open_clauses = every & ~sat
+            if open_clauses & ~one:
+                conflict = True  # an open clause with every literal false
+                break
+            unit = open_clauses & ~two
+            if not unit:
+                break
+            for i in free:
+                forced_one, forced_zero = pos[i] & unit, neg[i] & unit
+                if forced_one:
+                    if forced_zero:
+                        conflict = True  # forced both ways
+                        break
+                    ones |= 1 << i
+                    sat |= pos[i]
+                elif forced_zero:
+                    zeros |= 1 << i
+                    sat |= neg[i]
+            if conflict:
+                break
+            assigned = ones | zeros
+            free = [i for i in free if not assigned >> i & 1]
+        if conflict:
             continue
-        ones, zeros, open_clauses = propagated
-        if not open_clauses:
-            stack.append(node)  # every later model lies in this subtree or below it on the stack
+        if sat == every:
+            stack.append((ones, zeros))  # every later model lies in this subtree or below it on the stack
             bits = ones if default_polarity == 0 else ~zeros
-            return tuple((bits >> i) & 1 for i in range(1, n + 1))
-        free = all_vars & ~(ones | zeros)
-        var = free & -free
-        one, zero = (ones | var, zeros), (ones, zeros | var)
-        preferred, other = (one, zero) if default_polarity else (zero, one)
+            # variable 1 first, each digit mapped to its int in one pass
+            return tuple(bin(bits & all_vars | 2 << n)[-2:2:-1].encode().translate(_DIGITS))
+        # branch on the lowest free variable
+        var = 1 << free[0]
+        with_one, with_zero = (ones | var, zeros), (ones, zeros | var)
+        preferred, other = (with_one, with_zero) if default_polarity else (with_zero, with_one)
         stack.append(other)
         stack.append(preferred)
     return None

@@ -39,6 +39,12 @@ class TestFormula:
         with pytest.raises(ValueError, match="at least one variable"):
             CnfFormula(0)
 
+    @pytest.mark.parametrize("num_vars", [True, 2.0, "3", None])
+    def test_variable_count_must_be_an_int(self, num_vars):
+        # True would otherwise pass for 1 and render as `p cnf True 0`
+        with pytest.raises(ValueError, match="not an integer"):
+            CnfFormula(num_vars)
+
     def test_out_of_range_variable_rejected(self):
         formula = CnfFormula(2)
         with pytest.raises(ValueError):
@@ -178,6 +184,41 @@ def test_models_match_reference_across_interleaved_calls(case, data):
             formula.add_clause(clause)
         for polarity in data.draw(st.lists(st.sampled_from([0, 1]), max_size=2, unique=True)):
             assert solve(formula, polarity) == reference_solve(formula, polarity)
+
+
+@st.composite
+def _long_appends(draw):
+    """A variable count, a polarity and rounds of more clauses than
+    variables: mixed clauses of up to five literals, or the loop's blocking
+    clauses, each all positive or all negative over up to 12 variables."""
+    num_vars = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+        clause = st.lists(literal, min_size=1, max_size=min(num_vars, 5)).map(
+            lambda lits: tuple({abs(l): l for l in lits}.values())
+        )
+    else:
+        clause = st.tuples(st.frozensets(st.integers(1, num_vars), min_size=1), st.sampled_from([1, -1])).map(
+            lambda c: tuple(c[1] * i for i in c[0])
+        )
+    rounds = st.lists(clause, min_size=num_vars + 1, max_size=num_vars + 6)
+    return num_vars, draw(st.sampled_from([0, 1])), draw(st.lists(rounds, min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_appends())
+def test_models_match_reference_after_more_clauses_than_variables(case):
+    # the other polarity solves after every clause, while this one waits
+    # for a round of more clauses than variables: its pending subtrees are
+    # then popped long after they were pushed
+    num_vars, polarity, rounds = case
+    formula = CnfFormula(num_vars)
+    assert solve(formula, polarity) == reference_solve(formula, polarity)
+    for clauses in rounds:
+        for clause in clauses:
+            formula.add_clause(clause)
+            assert solve(formula, 1 - polarity) == reference_solve(formula, 1 - polarity)
+        assert solve(formula, polarity) == reference_solve(formula, polarity)
 
 
 def _pickled(formula):
