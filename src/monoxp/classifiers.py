@@ -1,5 +1,5 @@
 """Classifier oracles: built-in monotone models, an external-process client,
-counting wrappers, and a randomized monotonicity prober.
+a counting wrapper, and a randomized monotonicity prober.
 
 An oracle is a black box: the only interaction is classify(point) -> label,
 one point per call. Monotonicity is assumed by the explanation algorithms,
@@ -327,27 +327,8 @@ class InternalConsistencyError(OracleError):
 
     The algorithms take the classifier for a function, so an explanation
     built on two answers to one point is unsound. A deterministic oracle,
-    monotone or not, never raises this."""
-
-
-class _Consistent(CountingOracle):
-    """A counter that keeps each point's first answer, in `_cache`, and
-    raises InternalConsistencyError when a later answer differs from it."""
-
-    def __init__(self, inner: ClassifierOracle) -> None:
-        super().__init__(inner)
-        self._cache: dict[tuple, str] = {}
-
-    def classify(self, point: Point) -> str:
-        label = super().classify(point)
-        return self._same(point, self._cache.setdefault(point.values, label), label)
-
-    @staticmethod
-    def _same(point: Point, first: str, label: str) -> str:
-        """`label`, if it is the point's `first` answer; else the error."""
-        if label != first:
-            raise InternalConsistencyError(f"the oracle answered {list(point.values)} with {first!r}, then with {label!r}")
-        return label
+    monotone or not, never raises this. The memo of `monoxp.enumeration`
+    raises it where the enumeration loop asks a corner again."""
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterator, Optional, Sequence, TextIO, TypeVar
 
-from .classifiers import ClassifierOracle, CountingOracle, OracleError, _Consistent, probe_monotonicity
+from .classifiers import ClassifierOracle, OracleError, probe_monotonicity
 from .domain import Explanation, Point
-from .enumeration import EnumerationReport, enumerate_explanations
+from .enumeration import EnumerationReport, _Memo, enumerate_explanations
 from .explainer import NoCxpExists, find_axp, find_cxp, verify_axp, verify_cxp
 from .satcore import to_dimacs
 from .specfile import SCHEMA_VERSION, SpecError, build_oracle, load_spec
@@ -138,36 +138,32 @@ def _feature_names(oracle: ClassifierOracle, features) -> list[str]:
     return [oracle.space.name(i) for i in sorted(features)]
 
 
-def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[CountingOracle, str], T]) -> tuple[T, dict]:
-    """Classify v through a counter that holds the oracle to its first
-    answers, then run `work(counter, prediction)`.
+def _counted(oracle: ClassifierOracle, v: Point, work: Callable[[_Memo, str], T]) -> tuple[T, dict]:
+    """Classify v through one memo that holds the oracle to its first
+    answers, then run `work(memo, prediction)` through the same memo.
 
     Returns the work's result and the fields every per-instance record
     shares. `time_total` covers the prediction plus the work; the counts and
-    `time_classifier` cover the calls made through the counter, to which
-    `_report_counts` adds an enumeration run's own (it gets the bare oracle).
+    `time_classifier` cover every call the memo sent to the oracle, so a
+    command asks each point once, except where an enumeration loop asks a
+    corner again.
     """
-    counting = _Consistent(oracle)
+    memo = _Memo(oracle)
     start = time.perf_counter()
-    prediction = counting.classify(v)
-    result = work(counting, prediction)
+    prediction = memo.classify(v)
+    result = work(memo, prediction)
     total = time.perf_counter() - start
     return result, {
         "instance": list(v.values),
         "prediction": prediction,
-        "oracle_calls": counting.call_count,
+        "oracle_calls": memo.call_count,
         "time_total": total,
-        "time_classifier": counting.classify_seconds,
+        "time_classifier": memo.classify_seconds,
     }
 
 
-def _report_counts(counted: dict, report: EnumerationReport) -> dict:
-    """Add the run's calls and classifier time to the prediction's in `counted`; return the run's other fields.
-
-    A run whose own answer for v is not the prediction is an InternalConsistencyError."""
-    _Consistent._same(Point(tuple(counted["instance"])), counted["prediction"], report.prediction)
-    counted["oracle_calls"] += report.oracle_calls
-    counted["time_classifier"] += report.classify_seconds
+def _report_counts(report: EnumerationReport) -> dict:
+    """The fields of an enumeration run that a summary or instance record adds to `_counted`'s."""
     return {
         "time_sat": report.sat_seconds,
         "axp_count": len(report.axps),
@@ -194,7 +190,7 @@ def cmd_explain(args) -> int:
         order = _parse_order(args.order, oracle)
         find = find_axp if args.kind == "axp" else find_cxp
         with _output(args.output) as stream:
-            expl, counted = _counted(oracle, v, lambda counting, _: find(v, counting, order=order))
+            expl, counted = _counted(oracle, v, lambda memo, _: find(v, memo, order=order))
             _emit(
                 stream,
                 _record(
@@ -231,7 +227,7 @@ def cmd_enumerate(args) -> int:
             stream = stack.enter_context(_output(args.output))
             dump = stack.enter_context(open(args.dump_cnf, "w", encoding="utf-8")) if args.dump_cnf else None
 
-            def run(_, prediction: str) -> EnumerationReport:
+            def run(memo: _Memo, prediction: str) -> EnumerationReport:
                 index = 0
 
                 def on_explanation(expl: Explanation) -> None:
@@ -251,12 +247,11 @@ def cmd_enumerate(args) -> int:
                     )
 
                 return enumerate_explanations(
-                    v, oracle, limit=args.limit, budget=args.budget, order=order, callback=on_explanation
+                    v, memo, limit=args.limit, budget=args.budget, order=order, callback=on_explanation
                 )
 
             report, counted = _counted(oracle, v, run)
-            fields = _report_counts(counted, report)
-            _emit(stream, _record("summary", **counted, **fields))
+            _emit(stream, _record("summary", **counted, **_report_counts(report)))
             if dump is not None:
                 dump.write(to_dimacs(report.formula))
     return EXIT_OK
@@ -268,9 +263,9 @@ def cmd_verify(args) -> int:
         features = _parse_features(args.features, oracle)
         check = verify_axp if args.kind == "axp" else verify_cxp
 
-        def audit(counting: CountingOracle, _) -> tuple[bool, bool]:
-            holds = check(features, v, counting)
-            return holds, holds and all(not check(features - {i}, v, counting) for i in sorted(features))
+        def audit(memo: _Memo, _) -> tuple[bool, bool]:
+            holds = check(features, v, memo)
+            return holds, holds and all(not check(features - {i}, v, memo) for i in sorted(features))
 
         with _output(args.output) as stream:
             (holds, minimal), counted = _counted(oracle, v, audit)
@@ -332,17 +327,16 @@ def _read_instance_rows(path: str) -> list[tuple[int, list]]:
 def _bench_one(oracle: ClassifierOracle, line: int, cells: list) -> dict:
     try:
         point = _parse_instance(cells, oracle)
-        report, counted = _counted(oracle, point, lambda *_: enumerate_explanations(point, oracle))
+        report, counted = _counted(oracle, point, lambda memo, _: enumerate_explanations(point, memo))
     except ValueError as exc:
         return _record("row-error", line=line, message=str(exc))
-    fields = _report_counts(counted, report)
     return _record(
         "instance",
         line=line,
         **counted,
         axps=[e.sorted_features() for e in report.axps],
         cxps=[e.sorted_features() for e in report.cxps],
-        **fields,
+        **_report_counts(report),
     )
 
 

@@ -10,11 +10,13 @@ blocking clause: positive over an AXp's features, negative over a CXp's.
 One extra satisfiability call proves completion, so a finished run makes
 exactly len(axps) + len(cxps) + 1 solver calls.
 
-A run asks the oracle through its own `_Memo`, so a point reaches the
-oracle once per run, except the loop's corners: the loop asks a corner the
-run knows once more, and one new to the run twice in a row. An answer that
-differs from the run's first answer to the same point raises
-InternalConsistencyError, an OracleError.
+A run asks through a `_Memo`, its own or the one it is handed as the
+oracle, so a point reaches the oracle once per memo, except the loop's
+corners: the loop asks a corner the memo knows once more, and one new to
+it twice in a row. An answer that differs from the memo's first answer to
+the same point raises InternalConsistencyError, an OracleError. An
+explainer start check that the loop's corners contradict, which only an
+oracle that is not monotone can cause, raises an OracleError naming the box.
 
 A run checks its arguments once, where they enter. The loop hands the
 explainer the point `validate_point` returned for v, which the run's space
@@ -35,26 +37,28 @@ from dataclasses import dataclass, field
 from itertools import combinations, compress
 from typing import Callable, Iterable, Optional, Sequence
 
-from .classifiers import ClassifierOracle, CountingOracle, _Consistent
+from .classifiers import ClassifierOracle, CountingOracle, InternalConsistencyError, OracleError
 from .domain import Explanation, ExplanationKind, Point, _corner, _is_int, _is_number
-from .explainer import _bounds, find_axp, find_cxp, verify_axp
+from .explainer import SeedBreaksInvariant, _bounds, find_axp, find_cxp, verify_axp
 from .satcore import CnfFormula, solve
 
 
 _MISSING = object()  # a memo miss: a stored label may be any value
 
 
-class _Memo(_Consistent):
-    """A run's counter and memo, holding the oracle to its first answers.
+class _Memo(CountingOracle):
+    """A counter and memo, holding the oracle to its first answers, in `_cache`.
 
-    `classify`, which the explainer asks through, answers a point the run
-    asked before from the memo, counting it in `cache_hits`, and keeps the
-    answer to any other. `corner`, which the loop asks through, asks the
-    oracle for a point new to the run and keeps the answer; then it asks
-    again, for any point, and compares the answer with the first one."""
+    `classify`, which the explainer asks through, answers a point asked
+    before from the memo, counting it in `cache_hits`, and keeps the answer
+    to any other. `corner`, which the loop asks through, asks the oracle for
+    a point new to the memo and keeps the answer; then it asks again, for
+    any point, and raises InternalConsistencyError when the answer differs
+    from the first one."""
 
     def __init__(self, inner: ClassifierOracle) -> None:
         super().__init__(inner)
+        self._cache: dict[tuple, str] = {}
         self.cache_hits = 0
 
     def classify(self, point: Point) -> str:
@@ -66,16 +70,19 @@ class _Memo(_Consistent):
         return label
 
     def corner(self, point: Point) -> str:
-        if point.values not in self._cache:
-            self._cache[point.values] = CountingOracle.classify(self, point)
-        return _Consistent.classify(self, point)
+        first = self._cache.get(point.values, _MISSING)
+        if first is _MISSING:
+            first = self._cache[point.values] = CountingOracle.classify(self, point)
+        label = CountingOracle.classify(self, point)
+        if label != first:
+            raise InternalConsistencyError(f"the oracle answered {list(point.values)} with {first!r}, then with {label!r}")
+        return label
 
 
 @dataclass
 class EnumerationReport:
     """Everything one enumeration run produced."""
 
-    prediction: Optional[str] = None
     axps: list[Explanation] = field(default_factory=list)
     cxps: list[Explanation] = field(default_factory=list)
     sat_calls: int = 0
@@ -110,17 +117,19 @@ def enumerate_explanations(
     or `budget` (wall-clock seconds) cut the run short, yielding a prefix of
     a complete enumeration flagged complete=False; a `limit` that is no
     non-negative int or a negative or NaN `budget` is a ValueError before
-    any call. `prediction` is the run's first answer for v, `oracle_calls`
-    counts the calls that reached the oracle, `cache_hits` the explainer's
-    queries the run's memo answered instead.
-    `classify_seconds` is the wall time spent in the oracle's calls,
-    `sat_seconds` the wall time spent in the loop's satisfiability calls.
+    any call. `oracle_calls` counts the calls that reached the oracle,
+    `cache_hits` the queries the memo answered instead, and
+    `classify_seconds` is the wall time spent in the oracle's calls; for an
+    `oracle` that is a `_Memo` these are the memo's totals, the calls made
+    through it before the run included. `sat_seconds` is the wall time spent
+    in the loop's satisfiability calls. An explainer call that finds the
+    box the loop checked breaking its invariant raises an OracleError.
     """
     if limit is not None and not (_is_int(limit) and limit >= 0):
         raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
     if budget is not None and not (_is_number(budget) and budget >= 0):
         raise ValueError(f"budget must be a non-negative number of seconds, got {budget!r}")
-    memo = _Memo(oracle)
+    memo = oracle if isinstance(oracle, _Memo) else _Memo(oracle)
     space = memo.space
     v = space.validate_point(v)
     if order is not None:
@@ -129,7 +138,7 @@ def enumerate_explanations(
     formula = CnfFormula(space.arity)
     report = EnumerationReport(formula=formula)
     start = time.perf_counter()
-    report.prediction = pred = memo.classify(v)
+    pred = memo.classify(v)
     while True:
         if limit is not None and len(report.axps) + len(report.cxps) >= limit:
             break
@@ -144,17 +153,20 @@ def enumerate_explanations(
             break
         fixed = all_features.difference(compress(space.features, model))
         low, up = _bounds(space, v, fixed)
-        # the lower corner decides alone if it differs
-        if memo.corner(_corner(tuple(low), space)) == pred and memo.corner(_corner(tuple(up), space)) == pred:
-            # the fixed side forces the prediction: some AXp inside it
-            expl = find_axp(v, memo, seed=all_features - fixed, order=order)
-            report.axps.append(expl)
-            formula._append(positive=expl.features)
-        else:
-            # the free side admits a change: some CXp inside it
-            expl = find_cxp(v, memo, seed=fixed, order=order)
-            report.cxps.append(expl)
-            formula._append(negative=expl.features)
+        try:
+            # the lower corner decides alone if it differs
+            if memo.corner(_corner(tuple(low), space)) == pred and memo.corner(_corner(tuple(up), space)) == pred:
+                # the fixed side forces the prediction: some AXp inside it
+                expl = find_axp(v, memo, seed=all_features - fixed, order=order)
+                report.axps.append(expl)
+                formula._append(positive=expl.features)
+            else:
+                # the free side admits a change: some CXp inside it
+                expl = find_cxp(v, memo, seed=fixed, order=order)
+                report.cxps.append(expl)
+                formula._append(negative=expl.features)
+        except SeedBreaksInvariant as exc:  # a corner the loop asked belies the class order
+            raise OracleError(f"the oracle is not monotone over the box that fixes {sorted(fixed)}: {exc}") from exc
         if callback is not None:
             callback(expl)
     report.oracle_calls = memo.call_count

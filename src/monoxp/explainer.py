@@ -21,7 +21,8 @@ corner equal to the point just asked starts known. A step keeps a corner's
 state where it leaves the corner's coordinate as it was (compared with
 `==`, as the run's memo keys are, so 0, 0.0 and False are one value), and a
 CXp step, which moves both corners toward v, keeps a corner that carries
-v's label; a reverted step restores the states. An end of the class order
+v's label; a reverted step restores the state of each corner it moved, and
+a corner it left in place keeps the label the step asked. An end of the class order
 decides a corner unasked: when v's label is the bottom class every lower
 corner carries it, and when it is the top class every upper corner does.
 So a scan whose v's label is an end of the class order asks at most one
@@ -151,17 +152,20 @@ def _explain(kind: ExplanationKind, v: Point, oracle: ClassifierOracle, seed, or
         old_low, old_up = low[j], up[j]
         had_low, had_up = low_has, up_has
         low[j], up[j] = target_low[j], target_up[j]
+        moves_up = up[j] != old_up
         # a corner the step moves keeps its state only if it carries pred
         # and the step is a CXp step, which moves it toward v
         if low[j] != old_low and (agree or not low_has):
             low_has = low_end or ask(_corner(tuple(low), space)) == pred
-        if up[j] != old_up and (agree or not up_has):
+        if moves_up and (agree or not up_has):
             up_has = None
         if low_has and up_has is None:
             up_has = up_end or ask(_corner(tuple(up), space)) == pred
         if (low_has and up_has) != agree:
+            # a corner the step left in place keeps the label it asked; only
+            # the upper one can learn a label without moving
             low[j], up[j] = old_low, old_up
-            low_has, up_has = had_low, had_up
+            low_has, up_has = had_low, had_up if moves_up else up_has
             picked.add(i)
     return _explanation(kind, frozenset(picked))
 

@@ -42,7 +42,7 @@ from monoxp import (
     probe_monotonicity,
     verify_axp,
 )
-from monoxp.classifiers import _Consistent
+from monoxp.enumeration import _Memo
 
 
 class TestGradeClassifier:
@@ -313,8 +313,9 @@ class TestCountingOracle:
         assert counting.call_count == 2
 
     def test_a_changed_answer_is_an_oracle_error(self):
-        # the first answer to (1, 1) is 1, the second 0: the counter that
-        # keeps first answers counts both and stops at the second
+        # the first answer to (1, 1) is 1, the second 0: the memo keeps the
+        # first from `classify`, and its corner check asks the point again,
+        # counts both calls and stops at the second
         class FlipSecond:
             space, classes = boolean_space(2), ClassOrder(("0", "1"))
             asked = 0
@@ -323,11 +324,11 @@ class TestCountingOracle:
                 self.asked += 1
                 return "1" if self.asked == 1 else "0"
 
-        consistent = _Consistent(FlipSecond())
-        assert consistent.classify(Point((1, 1))) == "1"
+        memo = _Memo(FlipSecond())
+        assert memo.classify(Point((1, 1))) == "1"
         with pytest.raises(InternalConsistencyError, match=r"answered \[1, 1\] with '1', then with '0'"):
-            consistent.classify(Point((1, 1)))
-        assert consistent.call_count == 2
+            memo.corner(Point((1, 1)))
+        assert memo.call_count == 2
         assert issubclass(InternalConsistencyError, OracleError)
 
 

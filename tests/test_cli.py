@@ -12,6 +12,7 @@ from conftest import GRADE_CHILD, logged_requests, logging_grade_command
 import monoxp
 from monoxp import GradeClassifier, Point, SpecError, build_oracle, verify_axp, verify_cxp
 from monoxp.cli import main
+from monoxp.enumeration import _Memo
 
 GRADE_SPEC = {"schema": 1, "kind": "grade"}
 
@@ -55,6 +56,11 @@ def write_spec(tmp_path, spec, name="clf.json"):
     return str(path)
 
 
+def without_times(records):
+    """The records with their wall-time fields, which differ between runs, left out."""
+    return [{k: v for k, v in r.items() if not k.startswith("time_") and k != "classifier_time_pct"} for r in records]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -73,7 +79,7 @@ class TestExplain:
         assert record["prediction"] == "A"
         assert record["features"] == [1, 2]
         assert record["feature_names"] == ["quiz", "exam"]
-        assert record["oracle_calls"] <= 2 * 4 + 2 + 1  # one extra call reports the prediction
+        assert record["oracle_calls"] <= 2 * 4 + 2  # the scan finds v's label in the command's memo
 
     def test_cxp(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
@@ -186,10 +192,11 @@ class TestEnumerate:
         spec = write_spec(tmp_path, GRADE_SPEC)
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
         assert code == 0
-        # the prediction plus the run's 12 calls; the memo answered 8 more
-        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (13, 8)
+        # the library run's 12 calls, the prediction among them; the memo
+        # answered 9 more, the run's own ask of v among them
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (12, 9)
         report = monoxp.enumerate_explanations(Point((10, 10, 5, 0)), GradeClassifier())
-        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (1 + report.oracle_calls, report.cache_hits)
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (report.oracle_calls, 1 + report.cache_hits)
 
     def test_summary_times_the_solver(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GRADE_SPEC)
@@ -328,7 +335,7 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
         assert code == 0
         *rows, aggregate = out
-        assert rows[0]["cache_hits"] == 8
+        assert rows[0]["cache_hits"] == 9
         assert aggregate["cache_hits_avg"] == sum(r["cache_hits"] for r in rows) / 3
 
     def test_aggregate_sums_the_solver_time(self, tmp_path, capsys):
@@ -579,30 +586,46 @@ class TestExternalOracle:
         assert logged_requests(log)[0] == "9007199254740993,0,0,0\n"
 
     @pytest.mark.parametrize(
-        "argv",
-        [["explain", "--kind", "axp"], ["explain", "--kind", "cxp"], ["verify", "--kind", "axp", "--features", "1"]],
+        "argv, exit_code",
+        [
+            (["explain", "--kind", "axp"], 0),
+            (["explain", "--kind", "cxp"], 2),
+            (["verify", "--kind", "axp", "--features", "1"], 0),
+        ],
         ids=["explain-axp", "explain-cxp", "verify"],
     )
-    def test_a_changed_answer_is_an_oracle_failure(self, tmp_path, capsys, argv):
+    def test_a_child_that_changes_a_repeated_answer_is_asked_each_point_once(self, tmp_path, capsys, argv, exit_code):
         # the child answers 1 but to a point's second request; each command
-        # asks v again, and must end there with one error and no record
-        child = (
-            "import sys\nasked = {}\nfor line in sys.stdin:\n"
-            "    asked[line] = asked.get(line, 0) + 1\n    print(0 if asked[line] == 2 else 1, flush=True)"
+        # asks its points through one memo, so no second request goes out
+        # and the outcome is that of a child that never changes an answer:
+        # the constant 1, which has no CXp
+        child = tmp_path / "flip_second.py"
+        child.write_text(
+            "import sys\nasked = {}\nlog = open(sys.argv[1], 'a')\nfor line in sys.stdin:\n"
+            "    log.write(line)\n    log.flush()\n    asked[line] = asked.get(line, 0) + 1\n"
+            "    print(0 if asked[line] == 2 and sys.argv[2] == 'flip' else 1, flush=True)\n"
         )
-        spec = write_spec(
-            tmp_path,
-            {
-                "schema": 1,
-                "kind": "external",
-                "command": [sys.executable, "-c", child],
-                "features": [{"name": "a", "kind": "boolean", "lower": 0, "upper": 1}],
-                "classes": ["0", "1"],
-            },
-        )
-        code, out, err = run(capsys, *argv, "--spec", spec, "--instance", "1")
-        assert (code, out) == (3, [])
-        assert [e["error"] for e in err] == ["oracle-failure"]
+        outcomes = []
+        for mode in ("flip", "steady"):
+            log = tmp_path / f"{mode}.log"
+            spec = write_spec(
+                tmp_path,
+                {
+                    "schema": 1,
+                    "kind": "external",
+                    "command": [sys.executable, str(child), str(log), mode],
+                    "features": [{"name": "a", "kind": "boolean", "lower": 0, "upper": 1}],
+                    "classes": ["0", "1"],
+                },
+                name=f"{mode}.json",
+            )
+            code, out, err = run(capsys, *argv, "--spec", spec, "--instance", "1")
+            assert set(Counter(logged_requests(log)).values()) == {1}
+            outcomes.append((code, without_times(out), err))
+        assert outcomes[0] == outcomes[1]
+        code, _, err = outcomes[0]
+        assert code == exit_code
+        assert [e["error"] for e in err] == ([] if code == 0 else ["no-cxp-exists"])
 
     @pytest.mark.parametrize("command", ["enumerate", "bench"])
     def test_a_changed_answer_ends_a_run(self, tmp_path, capsys, command):
@@ -633,42 +656,77 @@ class TestExternalOracle:
         assert [e["error"] for e in err] == ["oracle-failure"]
 
     @pytest.mark.parametrize("command", ["enumerate", "bench"])
-    def test_a_changed_answer_for_v_ends_a_run(self, tmp_path, capsys, command):
+    def test_a_child_that_changes_its_answer_for_v_is_asked_v_once(self, tmp_path, capsys, command):
         # a monotone linear child over three integer features that flips
-        # every answer for 4,4,4 but the first: the command's prediction
-        # request hears "hi", and the run hears "lo" for v every time it
-        # asks. Only comparing the two answers can hear the change; it must
-        # end the command with one error and no summary or instance record
+        # every answer for 4,4,4 but the first: the command asks v once,
+        # for its prediction, and the run finds it in the command's memo, so
+        # the records are those of a child that never flips
         child = tmp_path / "flip_v.py"
         child.write_text(
             "import sys\n"
             "seen = 0\n"
+            "log = open(sys.argv[1], 'a')\n"
             "for line in sys.stdin:\n"
+            "    log.write(line)\n"
+            "    log.flush()\n"
             "    a, b, c = map(int, line.split(','))\n"
             "    label = 3 * a + b + 2 * c >= 15\n"
-            "    if line == '4,4,4\\n':\n"
+            "    if line == '4,4,4\\n' and sys.argv[2] == 'flip':\n"
             "        seen += 1\n"
             "        label ^= seen > 1\n"
             "    print(['lo', 'hi'][label], flush=True)\n"
         )
+        rows = tmp_path / "rows.csv"
+        rows.write_text("4,4,4\n")
+        where = ["--instance", "4,4,4", "--limit", "1"] if command == "enumerate" else ["--instances", str(rows)]
+        outcomes = []
+        for mode in ("flip", "steady"):
+            log = tmp_path / f"{mode}.log"
+            spec = write_spec(
+                tmp_path,
+                {
+                    "schema": 1,
+                    "kind": "external",
+                    "command": [sys.executable, str(child), str(log), mode],
+                    "features": [{"kind": "integer", "lower": 0, "upper": 5}] * 3,
+                    "classes": ["lo", "hi"],
+                },
+                name=f"{mode}.json",
+            )
+            code, out, err = run(capsys, command, "--spec", spec, *where)
+            assert Counter(logged_requests(log))["4,4,4\n"] == 1
+            outcomes.append((code, without_times(out), err))
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert (code, err) == (0, [])
+        assert {r["prediction"] for r in out if "prediction" in r} == {"hi"}
+
+    @pytest.mark.parametrize("command", ["enumerate", "bench"])
+    def test_a_non_monotone_child_is_an_oracle_failure(self, tmp_path, capsys, command):
+        # b at 0,0 and 1,1, a at 0,1 and 1,0, with a < b: at 1,0 the loop
+        # asks the whole box's corners and finds a change, then the box that
+        # fixes feature 2, whose corners 0,0 and 1,0 differ; the explainer's
+        # start check takes the lower one from the class order, as a is the
+        # bottom class, and finds them agreeing
+        child = "import sys\nfor line in sys.stdin:\n    a, b = line.split(',')\n    print('ab'[int(a) == int(b)], flush=True)"
         spec = write_spec(
             tmp_path,
             {
                 "schema": 1,
                 "kind": "external",
-                "command": [sys.executable, str(child)],
-                "features": [{"kind": "integer", "lower": 0, "upper": 5}] * 3,
-                "classes": ["lo", "hi"],
+                "command": [sys.executable, "-c", child],
+                "features": [{"kind": "boolean", "lower": 0, "upper": 1}] * 2,
+                "classes": ["a", "b"],
             },
         )
         rows = tmp_path / "rows.csv"
-        rows.write_text("4,4,4\n")
-        where = ["--instance", "4,4,4", "--limit", "1"] if command == "enumerate" else ["--instances", str(rows)]
+        rows.write_text("1,0\n")
+        where = ["--instance", "1,0"] if command == "enumerate" else ["--instances", str(rows)]
         code, out, err = run(capsys, command, "--spec", spec, *where)
         assert code == 3
         assert [r["type"] for r in out if r["type"] != "explanation"] == []
         assert [e["error"] for e in err] == ["oracle-failure"]
-        assert "answered [4, 4, 4] with 'hi', then with 'lo'" in err[0]["message"]
+        assert "not monotone over the box that fixes [2]" in err[0]["message"]
 
     def test_dying_process_exits_3(self, tmp_path, capsys):
         spec = write_spec(
@@ -697,27 +755,52 @@ def logging_grade_spec(log) -> dict:
 
 
 @pytest.mark.parametrize("instance", ["10,10,5,0", "5,5,5,5", "0,0,0,8"])
-@pytest.mark.parametrize("kind", ["axp", "cxp"])
-def test_explain_sends_no_point_twice_but_v(tmp_path, capsys, kind, instance):
-    # v goes out for the prediction and for the scan's own label, and once
-    # more if a CXp scan's corner reaches v. The scan asks a corner only
-    # while its label is unknown, so on the grade model every other point
-    # goes out once
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explain", "--kind", "axp"],
+        ["explain", "--kind", "cxp"],
+        ["verify", "--kind", "axp", "--features", "1,2"],
+        ["verify", "--kind", "cxp", "--features", "1,2"],
+        ["enumerate"],
+        ["bench"],
+    ],
+    ids=["explain-axp", "explain-cxp", "verify-axp", "verify-cxp", "enumerate", "bench"],
+)
+def test_no_command_sends_a_point_twice_but_the_loops_corners(tmp_path, capsys, monkeypatch, argv, instance):
+    # a command asks every point through one memo, v for its prediction
+    # first; only an enumeration loop's corner check sends a point again,
+    # once for each time it asks the corner, so a corner new to the run
+    # goes out twice in a row
+    checked = Counter()
+    real_corner = monoxp.enumeration._Memo.corner
+
+    def corner(memo, point):
+        checked[",".join(map(str, point.values)) + "\n"] += 1
+        return real_corner(memo, point)
+
+    monkeypatch.setattr(monoxp.enumeration._Memo, "corner", corner)
     log = tmp_path / "requests.log"
     spec = write_spec(tmp_path, logging_grade_spec(log))
-    code, out, _ = run(capsys, "explain", "--spec", spec, "--instance", instance, "--kind", kind)
+    rows = tmp_path / "rows.csv"
+    rows.write_text(instance + "\n")
+    where = ["--instances", str(rows)] if argv == ["bench"] else ["--instance", instance]
+    code, out, _ = run(capsys, *argv, "--spec", spec, *where)
     assert code == 0
-    sent = Counter(logged_requests(log))
-    assert sum(sent.values()) == out[0]["oracle_calls"]
-    assert sent.pop(instance + "\n") >= 2
-    assert set(sent.values()) == {1}
+    logged = logged_requests(log)
+    assert logged[0] == instance + "\n"
+    sent = Counter(logged)
+    assert sum(sent.values()) == [r for r in out if "oracle_calls" in r][0]["oracle_calls"]
+    # v too: the lower corner of a box that fixes feature 4 at 0,0,0,8 is v
+    assert all(n == 1 + checked[line] for line, n in sent.items())
+    assert bool(checked) == (argv[0] in ("enumerate", "bench"))
 
 
 @pytest.mark.parametrize("pipe", [False, True], ids=["in-process", "pipe"])
 @pytest.mark.parametrize("command", ["enumerate", "bench"])
 def test_each_run_asks_the_oracle_the_spec_built(tmp_path, capsys, monkeypatch, command, pipe):
-    # a run counts its own calls, so it gets the oracle itself, not a counter
-    # wrapped around it; the records still count every request the child read
+    # a run continues in the memo its command asked v through, which wraps
+    # the oracle itself; the records still count every request the child read
     built, given = [], []
 
     def build(spec):
@@ -738,7 +821,7 @@ def test_each_run_asks_the_oracle_the_spec_built(tmp_path, capsys, monkeypatch, 
     code, out, _ = run(capsys, command, "--spec", spec, *argv)
     assert code == 0
     assert len(built) == 1 and len(given) == (1 if command == "enumerate" else 2)
-    assert all(oracle is built[0] for oracle in given)
+    assert all(isinstance(memo, _Memo) and memo.inner is built[0] for memo in given)
     if pipe:
         counted = [r["oracle_calls"] for r in out if r["type"] in ("summary", "instance")]
         assert len(logged_requests(log)) == sum(counted) > 0

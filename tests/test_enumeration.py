@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -19,6 +20,7 @@ from monoxp import (
     InternalConsistencyError,
     LinearThresholdClassifier,
     MonotoneDnfClassifier,
+    OracleError,
     Point,
     brute_force_explanations,
     check_duality,
@@ -286,6 +288,39 @@ def test_each_point_reaches_the_oracle_once_but_the_loop_corners():
         assert report.oracle_calls == len(recording.asked), name
 
 
+class Table(ClassifierOracle):
+    """A deterministic oracle that looks its labels up, monotone or not."""
+
+    def __init__(self, space, classes, labels):
+        self.space, self.classes, self.labels = space, classes, labels
+
+    def classify(self, point):
+        return self.labels[point.values]
+
+
+def test_a_non_monotone_table_completes_or_is_an_oracle_error():
+    # random boolean tables, most of them not monotone: where the
+    # explainer's start check, which takes a corner from the class order,
+    # disagrees with the corners the loop asked, the run raises an
+    # OracleError naming the box instead of the explainer's own exception
+    rng = random.Random(3)
+    outcomes = {"complete": 0, "raised": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        classes = ClassOrder(tuple("abc"[: rng.randint(2, 3)]))
+        labels = {p: rng.choice(classes.labels) for p in itertools.product((0, 1), repeat=n)}
+        v = Point(tuple(rng.randint(0, 1) for _ in range(n)))
+        try:
+            assert enumerate_explanations(v, Table(boolean_space(n), classes, labels)).complete
+        except OracleError as exc:
+            assert not isinstance(exc, InternalConsistencyError)
+            assert "not monotone over the box that fixes" in str(exc)
+            outcomes["raised"] += 1
+        else:
+            outcomes["complete"] += 1
+    assert outcomes == {"complete": 1903, "raised": 1097}
+
+
 @pytest.mark.parametrize("corner", [0, 1], ids=["zeros", "ones"])
 def test_appendix_cnf_k10_enumeration(corner):
     # about a thousand explanations: the solver resumes across as many calls
@@ -473,6 +508,18 @@ class TestOneWrapperPerRun:
         assert report.complete
         assert (calls["axp"], calls["cxp"]) == (len(report.axps), len(report.cxps))
         assert report.oracle_calls == left["counted"]
+
+    def test_a_run_handed_a_memo_continues_in_it(self, grade):
+        # the CLI asks v through a memo and hands the run that memo: the run
+        # finds v in it and sends the oracle the rest of a plain run's calls
+        v = Point((10, 10, 5, 0))
+        plain = enumerate_explanations(v, grade)
+        memo = monoxp.enumeration._Memo(grade)
+        memo.classify(v)
+        report = enumerate_explanations(v, memo)
+        assert (report.axps, report.cxps) == (plain.axps, plain.cxps)
+        assert (report.oracle_calls, report.cache_hits) == (plain.oracle_calls, plain.cache_hits + 1) == (12, 9)
+        assert (memo.call_count, memo.cache_hits) == (12, 9)
 
     def test_every_flipped_repeat_is_caught_and_named(self):
         # v = (1, 1) is 1 and the loop's first lower corner (0, 0) is 0; the

@@ -434,7 +434,8 @@ def test_an_axp_over_boolean_features_asks_at_most_one_corner_per_feature():
     # corners known: at most N+2 calls for any number of classes, N counting
     # the features outside the seed; any scan at most 2N+2, and N+2 when v's
     # label is an end of the class order. A CXp scan may ask both corners in
-    # one step, after a step that left its upper corner unasked
+    # one step, after a step that left its upper corner unasked; a reverted
+    # step keeps a corner it left in place known, so the worst costs N+3
     rng = random.Random(0)
     worst_cxp = 0
     for _ in range(3000):
@@ -459,4 +460,30 @@ def test_an_axp_over_boolean_features_asks_at_most_one_corner_per_feature():
                     assert counting.call_count <= free + 2
                 else:
                     worst_cxp = max(worst_cxp, counting.call_count - free)
-    assert worst_cxp == 5
+    assert worst_cxp == 3
+
+
+def test_a_scan_asks_no_point_twice_but_v():
+    # a reverted step restores only the corners it moved, so a corner it
+    # left in place is not asked again; v may still be asked twice, once
+    # for its label and once when a CXp step moves a corner onto it
+    rng = random.Random(7)
+    queries = 0
+    for _ in range(4000):
+        n = rng.randint(2, 6)
+        space = FeatureSpace(tuple(FeatureDomain("integer", 0, rng.randint(1, 4)) for _ in range(n)))
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        reach = sum(w * int(d.upper) for w, d in zip(weights, space.domains))
+        thresholds = sorted(rng.sample(range(1, reach + 4), 3))
+        clf = LinearThresholdClassifier(space, weights, thresholds, ClassOrder(("c0", "c1", "c2", "c3")))
+        v = Point(tuple(rng.randint(0, int(d.upper)) for d in space.domains))
+        order = rng.sample(list(space.features), n)
+        for find in (find_axp, find_cxp):
+            oracle = RecordingOracle(clf)
+            try:
+                find(v, oracle, seed=set(rng.sample(list(space.features), rng.randint(0, n))), order=order)
+            except SeedBreaksInvariant:
+                pass
+            queries += len(oracle.points)
+            assert all(k == 1 for p, k in Counter(oracle.points).items() if p != v.values)
+    assert queries == 26098
