@@ -14,15 +14,19 @@ A run asks through a `_Memo`, its own or the one it is handed as the
 oracle, so a point reaches the oracle once per memo, except the loop's
 corners: the loop asks a corner the memo knows once more, and one new to
 it twice in a row. An answer that differs from the memo's first answer to
-the same point raises InternalConsistencyError, an OracleError. An
-explainer start check that the loop's corners contradict, which only an
-oracle that is not monotone can cause, raises an OracleError naming the box.
+the same point raises InternalConsistencyError, an OracleError. The loop
+hands each explainer call the box its corner check built, v's label and
+the two corner states, through find_axp/find_cxp's private `_box`, so the
+scan starts there without asking those corners again and the memo's
+`cache_hits` counts scan steps only. A corner state that belies an end of
+the class order, which only an oracle that is not monotone can cause,
+raises an OracleError naming the box.
 
 A run checks its arguments once, where they enter. The loop hands the
-explainer the point `validate_point` returned for v, which the run's space
-accepts at once. Each model's fixed set, built from the model's indices,
-goes to the corner check unchecked, and each seed the explainer gets holds
-plain ints of 1..N. The corner check builds the lower corner's `Point`
+explainer the point `validate_point` returned for v, the validated order
+and a seed of plain ints of 1..N, which with the box it takes unchecked.
+Each model's fixed set, built from the model's indices, goes to the corner
+check unchecked. The corner check builds the lower corner's `Point`
 when it asks it and the upper one only when the lower carries v's label.
 A run builds its own explanations and blocking clauses and does not check
 them again: each explanation holds distinct features of 1..N, so its
@@ -122,8 +126,8 @@ def enumerate_explanations(
     `classify_seconds` is the wall time spent in the oracle's calls; for an
     `oracle` that is a `_Memo` these are the memo's totals, the calls made
     through it before the run included. `sat_seconds` is the wall time spent
-    in the loop's satisfiability calls. An explainer call that finds the
-    box the loop checked breaking its invariant raises an OracleError.
+    in the loop's satisfiability calls. A box whose corners, as the loop
+    asked them, belie an end of the class order raises an OracleError.
     """
     if limit is not None and not (_is_int(limit) and limit >= 0):
         raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
@@ -153,16 +157,20 @@ def enumerate_explanations(
             break
         fixed = all_features.difference(compress(space.features, model))
         low, up = _bounds(space, v, fixed)
+        # the lower corner decides alone if it differs; the explainer starts
+        # from this box and these states
+        low_has = memo.corner(_corner(tuple(low), space)) == pred
+        up_has = memo.corner(_corner(tuple(up), space)) == pred if low_has else None
+        box = (low, up, pred, low_has, up_has)
         try:
-            # the lower corner decides alone if it differs
-            if memo.corner(_corner(tuple(low), space)) == pred and memo.corner(_corner(tuple(up), space)) == pred:
+            if low_has and up_has:
                 # the fixed side forces the prediction: some AXp inside it
-                expl = find_axp(v, memo, seed=all_features - fixed, order=order)
+                expl = find_axp(v, memo, seed=all_features - fixed, order=order, _box=box)
                 report.axps.append(expl)
                 formula._append(positive=expl.features)
             else:
                 # the free side admits a change: some CXp inside it
-                expl = find_cxp(v, memo, seed=fixed, order=order)
+                expl = find_cxp(v, memo, seed=fixed, order=order, _box=box)
                 report.cxps.append(expl)
                 formula._append(negative=expl.features)
         except SeedBreaksInvariant as exc:  # a corner the loop asked belies the class order

@@ -193,8 +193,8 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--spec", spec, "--instance", "10,10,5,0")
         assert code == 0
         # the library run's 12 calls, the prediction among them; the memo
-        # answered 9 more, the run's own ask of v among them
-        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (12, 9)
+        # answered 4 more, the run's own ask of v among them
+        assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (12, 4)
         report = monoxp.enumerate_explanations(Point((10, 10, 5, 0)), GradeClassifier())
         assert (out[-1]["oracle_calls"], out[-1]["cache_hits"]) == (report.oracle_calls, 1 + report.cache_hits)
 
@@ -335,7 +335,7 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--spec", spec, "--instances", str(instances))
         assert code == 0
         *rows, aggregate = out
-        assert rows[0]["cache_hits"] == 9
+        assert rows[0]["cache_hits"] == 4
         assert aggregate["cache_hits_avg"] == sum(r["cache_hits"] for r in rows) / 3
 
     def test_aggregate_sums_the_solver_time(self, tmp_path, capsys):
@@ -704,10 +704,9 @@ class TestExternalOracle:
     @pytest.mark.parametrize("command", ["enumerate", "bench"])
     def test_a_non_monotone_child_is_an_oracle_failure(self, tmp_path, capsys, command):
         # b at 0,0 and 1,1, a at 0,1 and 1,0, with a < b: at 1,0 the loop
-        # asks the whole box's corners and finds a change, then the box that
-        # fixes feature 2, whose corners 0,0 and 1,0 differ; the explainer's
-        # start check takes the lower one from the class order, as a is the
-        # bottom class, and finds them agreeing
+        # asks the whole box's lower corner 0,0 and hears b; v's label a is
+        # the bottom class, which every lower corner of a monotone oracle
+        # carries, so the explainer refuses the box the loop hands it
         child = "import sys\nfor line in sys.stdin:\n    a, b = line.split(',')\n    print('ab'[int(a) == int(b)], flush=True)"
         spec = write_spec(
             tmp_path,
@@ -726,7 +725,7 @@ class TestExternalOracle:
         assert code == 3
         assert [r["type"] for r in out if r["type"] != "explanation"] == []
         assert [e["error"] for e in err] == ["oracle-failure"]
-        assert "not monotone over the box that fixes [2]" in err[0]["message"]
+        assert "not monotone over the box that fixes []: the lower corner does not carry v's label 'a', the bottom class" in err[0]["message"]
 
     def test_dying_process_exits_3(self, tmp_path, capsys):
         spec = write_spec(

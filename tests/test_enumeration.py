@@ -221,25 +221,28 @@ class TestCounters:
         assert report.axp_sets() == set(axps)
         assert report.cxp_sets() == set(cxps)
         # the loop asks each of the 3 corners new to the run twice in a row,
-        # and the explainer's start checks find them in the memo: 12 calls
-        # reach the oracle and the memo answers 8 queries
-        assert (report.oracle_calls, report.cache_hits) == (12, 8)
+        # and the explainer starts from the loop's box unasked: 12 calls
+        # reach the oracle, and the memo answers the 3 scan steps that reach
+        # a point the run asked before
+        assert (report.oracle_calls, report.cache_hits) == (12, 3)
 
     @pytest.mark.parametrize("label", [None, "", 0])
     def test_a_falsy_label_is_kept_and_counted(self, grade, label):
-        # v is the space's lower corner: the run asks its label through the
-        # memo and the loop asks it again; the loop asks the new upper corner
-        # twice, and the explainer's start check gets the memo's copies of
-        # both; a falsy label taken for a miss would cost more calls and no hit
+        # v is the space's lower corner: a memo is asked its label, as the CLI
+        # does, and the run it is handed finds it there; the loop asks v
+        # again and the new upper corner twice; a falsy label taken for a
+        # miss would cost more calls and no hit
         class Constant:
             space, classes = grade.space, grade.classes
 
             def classify(self, point):
                 return label
 
-        report = enumerate_explanations(Point((0, 0, 0, 0)), Constant())
+        memo = monoxp.enumeration._Memo(Constant())
+        memo.classify(Point((0, 0, 0, 0)))
+        report = enumerate_explanations(Point((0, 0, 0, 0)), memo)
         assert (report.axp_sets(), report.cxp_sets(), report.complete) == ({frozenset()}, set(), True)
-        assert (report.oracle_calls, report.cache_hits) == (4, 2)
+        assert (report.oracle_calls, report.cache_hits) == (4, 1)
 
     def test_reported_oracle_calls_match_wrapper(self, grade):
         counting = CountingOracle(grade)
@@ -288,6 +291,55 @@ def test_each_point_reaches_the_oracle_once_but_the_loop_corners():
         assert report.oracle_calls == len(recording.asked), name
 
 
+def _handed_box_runs():
+    # the 200 DNFs, each in a scan order of its own, and the appendix CNFs
+    # at k=5-7 and both corners
+    for name, clf, v in _memo_reach_runs():
+        if name.startswith("dnf-"):
+            order = random.Random(name).sample(list(clf.space.features), clf.space.arity)
+            yield name, clf, v, order
+    for seed in range(6):
+        k = 5 + seed % 3
+        clf = _draw_appendix_cnf(random.Random(seed), k)
+        for corner in (0, 1):
+            yield f"cnf-{seed}-{corner}", clf, Point((corner,) * (2 * k)), None
+
+
+def _traces(runs):
+    out = []
+    for name, clf, v, order in runs:
+        for polarity in (0, 1):
+            recording = Recording(clf)
+            stream = []
+            report = enumerate_explanations(v, recording, order=order, default_polarity=polarity, callback=stream.append)
+            explanations = [(e.kind.value, e.sorted_features()) for e in stream]
+            out.append((name, polarity, recording.asked, explanations, report.sat_calls, report.oracle_calls, report.complete))
+    return out
+
+
+def test_the_handed_box_gives_the_public_paths_results(monkeypatch):
+    # the loop hands the explainer the box its corner check built; the
+    # explainer called without it validates, rebuilds the box and checks it
+    # through the memo, and must come to the same queries and results
+    runs = list(_handed_box_runs())
+    assert len(runs) == 212
+    handed = _traces(runs)
+    dropped = []
+
+    def public(find):
+        def explain(v, oracle, seed, order, _box):
+            dropped.append(_box)
+            return find(v, oracle, seed=seed, order=order)
+
+        return explain
+
+    monkeypatch.setattr(monoxp.enumeration, "find_axp", public(monoxp.enumeration.find_axp))
+    monkeypatch.setattr(monoxp.enumeration, "find_cxp", public(monoxp.enumeration.find_cxp))
+    assert _traces(runs) == handed
+    assert dropped and None not in dropped
+    assert all(complete for *_, complete in handed)
+
+
 class Table(ClassifierOracle):
     """A deterministic oracle that looks its labels up, monotone or not."""
 
@@ -299,9 +351,8 @@ class Table(ClassifierOracle):
 
 
 def test_a_non_monotone_table_completes_or_is_an_oracle_error():
-    # random boolean tables, most of them not monotone: where the
-    # explainer's start check, which takes a corner from the class order,
-    # disagrees with the corners the loop asked, the run raises an
+    # random boolean tables, most of them not monotone: where a corner the
+    # loop asked belies an end of the class order, the run raises an
     # OracleError naming the box instead of the explainer's own exception
     rng = random.Random(3)
     outcomes = {"complete": 0, "raised": 0}
@@ -344,50 +395,51 @@ def test_appendix_cnf_k10_enumeration(corner):
 # the loop kept one oracle wrapper; the two counters since each box is
 # decided one corner at a time, and cache_hits since the scan skips the
 # corners an end of the class order decides, which at these corners are v,
-# since the loop asks a corner new to the run twice, leaving the
-# explainer's start check to the memo, and since the scan asks a corner
-# only while its label is unknown.
+# since the loop asks a corner new to the run twice, since the scan asks a
+# corner only while its label is unknown, and since the loop hands the
+# explainer its box and a CXp step that moves a corner onto v knows its
+# label, so neither the start check's nor v's re-asks reach the memo.
 _PINNED_CNF_RUNS = [
-    (0, 5, 0, 38, 230, 156, 31, 6, "6f90609862b7aad3"),
-    (0, 5, 1, 38, 293, 105, 6, 31, "c6a2569575b152b2"),
-    (1, 6, 0, 71, 448, 338, 64, 6, "796dd48403d4c408"),
-    (1, 6, 1, 71, 664, 204, 6, 64, "14c15449898355e0"),
-    (2, 7, 0, 136, 917, 725, 128, 7, "c3aa2253070726b2"),
-    (2, 7, 1, 136, 1500, 398, 7, 128, "8f49175f24cc29d1"),
-    (3, 5, 0, 38, 227, 154, 31, 6, "19d4ce29e0c8dc9a"),
-    (3, 5, 1, 38, 268, 115, 6, 31, "5be6ffb48f466a2d"),
-    (4, 6, 0, 68, 446, 307, 59, 8, "009f53f0f185046a"),
-    (4, 6, 1, 68, 622, 191, 8, 59, "12cdb1799e9b1667"),
-    (5, 7, 0, 134, 937, 681, 122, 11, "67ccfe3525f7f136"),
-    (5, 7, 1, 134, 1431, 398, 11, 122, "59b1b3b60fa024e6"),
-    (6, 5, 0, 38, 222, 159, 32, 5, "31847a3d1a37e730"),
-    (6, 5, 1, 38, 292, 106, 5, 32, "9d57b6a5bedb28f7"),
-    (7, 6, 0, 70, 455, 320, 61, 8, "ab21cf7547388891"),
-    (7, 6, 1, 70, 623, 199, 8, 61, "854d146dcab7dba1"),
-    (8, 7, 0, 136, 917, 725, 128, 7, "c3aa2253070726b2"),
-    (8, 7, 1, 136, 1500, 398, 7, 128, "8f49175f24cc29d1"),
-    (9, 5, 0, 38, 232, 149, 30, 7, "73f8e00fbb233bf8"),
-    (9, 5, 1, 38, 287, 103, 7, 30, "8c0306a1b12e4ea1"),
-    (10, 6, 0, 71, 448, 338, 64, 6, "796dd48403d4c408"),
-    (10, 6, 1, 71, 664, 204, 6, 64, "14c15449898355e0"),
-    (11, 7, 0, 134, 923, 695, 124, 9, "0567b2e2651e7249"),
-    (11, 7, 1, 134, 1466, 388, 9, 124, "553ab5177b3d381a"),
-    (12, 5, 0, 38, 222, 159, 32, 5, "31847a3d1a37e730"),
-    (12, 5, 1, 38, 292, 106, 5, 32, "9d57b6a5bedb28f7"),
-    (13, 6, 0, 71, 460, 326, 62, 8, "cef8e8a8e2dfe950"),
-    (13, 6, 1, 71, 611, 219, 8, 62, "2441a74caead6166"),
-    (14, 7, 0, 134, 937, 681, 122, 11, "e9327923d5d3c4ed"),
-    (14, 7, 1, 134, 1457, 386, 11, 122, "9d973009e483dc27"),
-    (15, 5, 0, 38, 235, 151, 30, 7, "12d53cc33e9e0e24"),
-    (15, 5, 1, 38, 290, 104, 7, 30, "c4cedc1b43265664"),
-    (16, 6, 0, 71, 460, 326, 62, 8, "4c363953b36ef1fb"),
-    (16, 6, 1, 71, 648, 204, 8, 62, "6912e512e57385f2"),
-    (17, 7, 0, 136, 924, 718, 127, 8, "e55b5b415ec7208a"),
-    (17, 7, 1, 136, 1493, 399, 8, 127, "ed85cefceda9ca6a"),
-    (18, 5, 0, 37, 226, 149, 30, 6, "a993da9485a63722"),
-    (18, 5, 1, 37, 291, 96, 6, 30, "196c90a1b76f6cbc"),
-    (19, 6, 0, 71, 460, 326, 62, 8, "70bc29ffa0d06f38"),
-    (19, 6, 1, 71, 659, 201, 8, 62, "73055f6527c02f66"),
+    (0, 5, 0, 38, 230, 82, 31, 6, "6f90609862b7aad3"),
+    (0, 5, 1, 38, 293, 37, 6, 31, "c6a2569575b152b2"),
+    (1, 6, 0, 71, 448, 198, 64, 6, "796dd48403d4c408"),
+    (1, 6, 1, 71, 664, 70, 6, 64, "14c15449898355e0"),
+    (2, 7, 0, 136, 917, 455, 128, 7, "c3aa2253070726b2"),
+    (2, 7, 1, 136, 1500, 135, 7, 128, "8f49175f24cc29d1"),
+    (3, 5, 0, 38, 227, 80, 31, 6, "19d4ce29e0c8dc9a"),
+    (3, 5, 1, 38, 268, 47, 6, 31, "5be6ffb48f466a2d"),
+    (4, 6, 0, 68, 446, 173, 59, 8, "009f53f0f185046a"),
+    (4, 6, 1, 68, 622, 65, 8, 59, "12cdb1799e9b1667"),
+    (5, 7, 0, 134, 937, 415, 122, 11, "67ccfe3525f7f136"),
+    (5, 7, 1, 134, 1431, 143, 11, 122, "59b1b3b60fa024e6"),
+    (6, 5, 0, 38, 222, 85, 32, 5, "31847a3d1a37e730"),
+    (6, 5, 1, 38, 292, 37, 5, 32, "9d57b6a5bedb28f7"),
+    (7, 6, 0, 70, 455, 182, 61, 8, "ab21cf7547388891"),
+    (7, 6, 1, 70, 623, 69, 8, 61, "854d146dcab7dba1"),
+    (8, 7, 0, 136, 917, 455, 128, 7, "c3aa2253070726b2"),
+    (8, 7, 1, 136, 1500, 135, 7, 128, "8f49175f24cc29d1"),
+    (9, 5, 0, 38, 232, 75, 30, 7, "73f8e00fbb233bf8"),
+    (9, 5, 1, 38, 287, 36, 7, 30, "8c0306a1b12e4ea1"),
+    (10, 6, 0, 71, 448, 198, 64, 6, "796dd48403d4c408"),
+    (10, 6, 1, 71, 664, 70, 6, 64, "14c15449898355e0"),
+    (11, 7, 0, 134, 923, 429, 124, 9, "0567b2e2651e7249"),
+    (11, 7, 1, 134, 1466, 131, 9, 124, "553ab5177b3d381a"),
+    (12, 5, 0, 38, 222, 85, 32, 5, "31847a3d1a37e730"),
+    (12, 5, 1, 38, 292, 37, 5, 32, "9d57b6a5bedb28f7"),
+    (13, 6, 0, 71, 460, 186, 62, 8, "cef8e8a8e2dfe950"),
+    (13, 6, 1, 71, 611, 87, 8, 62, "2441a74caead6166"),
+    (14, 7, 0, 134, 937, 415, 122, 11, "e9327923d5d3c4ed"),
+    (14, 7, 1, 134, 1457, 131, 11, 122, "9d973009e483dc27"),
+    (15, 5, 0, 38, 235, 77, 30, 7, "12d53cc33e9e0e24"),
+    (15, 5, 1, 38, 290, 37, 7, 30, "c4cedc1b43265664"),
+    (16, 6, 0, 71, 460, 186, 62, 8, "4c363953b36ef1fb"),
+    (16, 6, 1, 71, 648, 72, 8, 62, "6912e512e57385f2"),
+    (17, 7, 0, 136, 924, 448, 127, 8, "e55b5b415ec7208a"),
+    (17, 7, 1, 136, 1493, 137, 8, 127, "ed85cefceda9ca6a"),
+    (18, 5, 0, 37, 226, 77, 30, 6, "a993da9485a63722"),
+    (18, 5, 1, 37, 291, 30, 6, 30, "196c90a1b76f6cbc"),
+    (19, 6, 0, 71, 460, 186, 62, 8, "70bc29ffa0d06f38"),
+    (19, 6, 1, 71, 659, 69, 8, 62, "73055f6527c02f66"),
 ]
 
 
@@ -482,13 +534,14 @@ class TestOneWrapperPerRun:
         # loop's corners: both for an AXp, for a CXp the lower one, and the
         # upper one only if the lower carries v's label. Each corner counts
         # one call, and one more if it is new to the run. Before the first
-        # call the run has asked v's label through the memo.
+        # call the run has asked v's label through the memo. The call gets
+        # the box those corners span, v's label and the corners' states.
         calls = {"axp": 0, "cxp": 0}
         left = {"memo": {v.values}, "counted": 1}
         pred = clf.classify(v)
 
         def counted(kind, find):
-            def explain(v, oracle, seed, order):
+            def explain(v, oracle, seed, order, _box):
                 calls[kind] += 1
                 fixed = seed if kind == "cxp" else oracle.space._feature_set - seed
                 low, up = corner_points(oracle.space, v, fixed)
@@ -496,7 +549,9 @@ class TestOneWrapperPerRun:
                 new = set(loop) - left["memo"]
                 assert oracle._cache.keys() == left["memo"] | new
                 assert oracle.call_count == left["counted"] + len(loop) + len(new)
-                expl = find(v, oracle, seed=seed, order=order)
+                states = [clf.classify(corner) == pred for corner in (low, up)[: len(loop)]] + [None] * (2 - len(loop))
+                assert _box == (list(low.values), list(up.values), pred, *states)
+                expl = find(v, oracle, seed=seed, order=order, _box=_box)
                 left["memo"], left["counted"] = set(oracle._cache), oracle.call_count
                 return expl
 
@@ -518,8 +573,8 @@ class TestOneWrapperPerRun:
         memo.classify(v)
         report = enumerate_explanations(v, memo)
         assert (report.axps, report.cxps) == (plain.axps, plain.cxps)
-        assert (report.oracle_calls, report.cache_hits) == (plain.oracle_calls, plain.cache_hits + 1) == (12, 9)
-        assert (memo.call_count, memo.cache_hits) == (12, 9)
+        assert (report.oracle_calls, report.cache_hits) == (plain.oracle_calls, plain.cache_hits + 1) == (12, 4)
+        assert (memo.call_count, memo.cache_hits) == (12, 4)
 
     def test_every_flipped_repeat_is_caught_and_named(self):
         # v = (1, 1) is 1 and the loop's first lower corner (0, 0) is 0; the
@@ -552,8 +607,8 @@ class TestOneWrapperPerRun:
 
     @pytest.mark.parametrize("clf, v", _LOOP_RUNS, ids=["grade", "cnf-ones", "cnf-zeros", "constant"])
     def test_the_loops_corners_are_in_the_memo_when_the_explainer_starts(self, clf, v, monkeypatch):
-        # the explainer's start check asks the loop's corners again, and
-        # must find each one in the memo
+        # the explainer starts from the loop's corners unasked, and a scan
+        # step that reaches one must find it in the memo
         asked = []
         real_corner = monoxp.enumeration._Memo.corner
 
@@ -562,9 +617,9 @@ class TestOneWrapperPerRun:
             return real_corner(memo, point)
 
         def checked(find):
-            def explain(v, oracle, seed, order):
+            def explain(v, oracle, seed, order, _box):
                 assert asked and set(asked) <= oracle._cache.keys()
-                return find(v, oracle, seed=seed, order=order)
+                return find(v, oracle, seed=seed, order=order, _box=_box)
 
             return explain
 

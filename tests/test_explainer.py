@@ -108,8 +108,8 @@ GRADE_ENUMERATION_QUERIES = [
         # feature 2 fixed: CXp {1}
         (0, 10, 0, 0),
         (0, 10, 0, 0), (0, 10, 5, 0),
-        # features 1 and 2 fixed: the corners agree, AXp {1, 2}; no scan
-        # asked the upper corner, so the start check asks it again
+        # features 1 and 2 fixed: the corners agree, AXp {1, 2}; the upper
+        # corner is new to the run, so the loop asks it twice
         (10, 10, 0, 0), (10, 10, 10, 10),
         (10, 10, 10, 10),
     ]),
@@ -166,14 +166,14 @@ def test_a_cxp_scan_stops_asking_lower_corners_once_a_kept_box_carries_the_label
     assert expl.features == {4}
     # v; the lower start corner differs; pinning 1 keeps a box whose lower
     # corner differs; pinning 2 keeps one whose lower corner carries "mid"
-    # and whose upper one differs; from then on only upper corners
+    # and whose upper one differs; from then on only upper corners, and the
+    # last one, pinned to v, takes v's label unasked
     assert oracle.points == [
         (1, 1, 1, 1),
         (0, 0, 0, 0),
         (1, 0, 0, 0),
         (1, 1, 0, 0), (1, 1, 2, 2),
         (1, 1, 1, 2),
-        (1, 1, 1, 1),
     ]
 
 
@@ -256,9 +256,9 @@ class TestFindCxp:
         assert counting.call_count == 5 <= 3 + 3
 
     def test_an_oracle_that_changes_its_answer_gets_no_empty_cxp(self):
-        # v = (1,) is asked first for its label and again as the box pinned
-        # to v, where its flipped answer keeps the scan from picking feature
-        # 1: the scan would return an empty CXp, which its constructor refuses
+        # v = (1,) is asked once, for its label: the box pinned to v takes
+        # that label unasked, so a flipped second answer to v cannot keep
+        # the scan from picking feature 1 and leave it an empty CXp
         class FlipVOnSecondAsk(ClassifierOracle):
             def __init__(self, inner):
                 self.inner, self.space, self.classes = inner, inner.space, inner.classes
@@ -273,9 +273,8 @@ class TestFindCxp:
                 return label
 
         oracle = FlipVOnSecondAsk(MonotoneDnfClassifier(boolean_space(1), [[1]]))
-        with pytest.raises(ValueError, match="^a contrastive explanation cannot be empty$"):
-            find_cxp(Point((1,)), oracle)
-        assert oracle.asked == 2
+        assert find_cxp(Point((1,)), oracle).features == {1}
+        assert oracle.asked == 1
 
 
 class TestEveryOrder:
@@ -414,15 +413,15 @@ def test_a_coordinate_equal_to_its_bound_is_not_asked_again(grade, values):
     # the grade features are reals with the integer bounds 0 and 10: v's 0.0
     # equals the bound 0 under ==, as in the run's memo keys, so a step that
     # moves the feature to that bound leaves the corner as it was and keeps
-    # its label; no point but v is asked twice, and v is asked again only by
-    # a CXp scan whose corner reaches it
+    # its label; no point is asked twice, v included, as a CXp corner that
+    # reaches v under == takes v's label
     v = Point(values)
     axps, cxps = brute_force_explanations(v, grade)
     for find, family in ((find_axp, axps), (find_cxp, cxps)):
         for order in ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)):
             oracle = RecordingOracle(grade)
             assert find(v, oracle, order=order).features in family
-            assert all(n == 1 for p, n in Counter(oracle.points).items() if p != values)
+            assert all(n == 1 for n in Counter(oracle.points).values())
     oracle = RecordingOracle(grade)
     find_axp(Point((10, 10, 5, 0.0)), oracle, order=(1, 2, 3, 4))
     assert oracle.points == [(10, 10, 5, 0.0), (0, 10, 5, 0.0), (10, 0, 5, 0.0), (10, 10, 0, 0.0)]
@@ -435,7 +434,8 @@ def test_an_axp_over_boolean_features_asks_at_most_one_corner_per_feature():
     # the features outside the seed; any scan at most 2N+2, and N+2 when v's
     # label is an end of the class order. A CXp scan may ask both corners in
     # one step, after a step that left its upper corner unasked; a reverted
-    # step keeps a corner it left in place known, so the worst costs N+3
+    # step keeps a corner it left in place known, and a corner pinned to v
+    # takes v's label unasked, so the worst here costs N+2
     rng = random.Random(0)
     worst_cxp = 0
     for _ in range(3000):
@@ -460,13 +460,13 @@ def test_an_axp_over_boolean_features_asks_at_most_one_corner_per_feature():
                     assert counting.call_count <= free + 2
                 else:
                     worst_cxp = max(worst_cxp, counting.call_count - free)
-    assert worst_cxp == 3
+    assert worst_cxp == 2
 
 
 def test_a_scan_asks_no_point_twice_but_v():
     # a reverted step restores only the corners it moved, so a corner it
-    # left in place is not asked again; v may still be asked twice, once
-    # for its label and once when a CXp step moves a corner onto it
+    # left in place is not asked again; v is asked once too, as a CXp step
+    # that moves a corner onto v gives it v's label
     rng = random.Random(7)
     queries = 0
     for _ in range(4000):
@@ -486,4 +486,23 @@ def test_a_scan_asks_no_point_twice_but_v():
                 pass
             queries += len(oracle.points)
             assert all(k == 1 for p, k in Counter(oracle.points).items() if p != v.values)
-    assert queries == 26098
+            assert oracle.points.count(v.values) <= 1
+    assert queries == 23912
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        # pinning feature 4, the last, brings both corners onto v
+        ((0, 0, 0, 8), [(0, 0, 0, 8), (0, 0, 0, 0)]),
+        # pinning feature 4 last brings the upper corner onto v
+        ((5, 5, 5, 5), [(5, 5, 5, 5), (0, 0, 0, 0), (5, 0, 0, 0), (5, 5, 0, 0), (5, 5, 5, 0), (5, 5, 5, 10)]),
+    ],
+    ids=["0,0,0,8", "5,5,5,5"],
+)
+def test_a_cxp_corner_moved_onto_v_takes_its_label(grade, values, expected):
+    # a CXp scan asks v for its label first; a step that moves a corner
+    # onto v knows that corner's label, so v is asked once
+    oracle = RecordingOracle(grade)
+    assert find_cxp(Point(values), oracle).features == {4}
+    assert oracle.points == expected
